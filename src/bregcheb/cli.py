@@ -177,14 +177,16 @@ def cmd_colormap(args):
     n = args.res
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
-    grid = np.array([[x, y] for y in ys for x in xs])
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
     values = farthest_values(F, C, grid).reshape(n, n)
 
     out = Path(args.out)
+    xs_txt = [_fmt(x) for x in xs.tolist()]
+    ys_txt = [_fmt(y) for y in ys.tolist()]
+    # F_C is never -inf, so "{:.17g}" formats each value as _fmt does
     lines = ["x,y,value"]
-    for iy in range(n):
-        for ix in range(n):
-            lines.append(f"{_fmt(xs[ix])},{_fmt(ys[iy])},{_fmt(values[iy, ix])}")
+    for y_txt, row in zip(ys_txt, values.tolist()):
+        lines += map(f"{{}},{y_txt},{{:.17g}}".format, xs_txt, row)
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     if args.ppm:
@@ -195,25 +197,22 @@ def cmd_colormap(args):
 
 def _write_ppm(path, values, interior):
     n = values.shape[0]
-    finite = np.isfinite(values)
-    shown = finite & interior
+    shown = np.isfinite(values) & interior
     if np.any(shown):
         vmin = float(values[shown].min())
         vmax = float(values[shown].max())
     else:
         vmin = vmax = 0.0
     span = vmax - vmin
-    pixels = bytearray()
-    for iy in range(n - 1, -1, -1):
-        for ix in range(n):
-            if not shown[iy, ix]:
-                pixels += b"\x00\x00\x00"
-            else:
-                t = 0.0 if span == 0.0 else (values[iy, ix] - vmin) / span
-                idx = min(255, int(t * 256.0))
-                pixels += bytes((idx, 0, 255 - idx))
+    t = np.zeros(values.shape)
+    if span != 0.0:
+        t = (np.where(shown, values, vmin) - vmin) / span
+    idx = np.minimum(255, (t * 256.0).astype(np.int64))
+    rgb = np.zeros(values.shape + (3,), dtype=np.uint8)
+    rgb[shown, 0] = idx[shown]
+    rgb[shown, 2] = 255 - idx[shown]
     header = f"P6\n{n} {n}\n255\n".encode("ascii")
-    path.write_bytes(header + bytes(pixels))
+    path.write_bytes(header + rgb[::-1].tobytes())
 
 
 def cmd_sphere(args):
@@ -243,76 +242,92 @@ def _sphere_rows(F, z, r, res, prescan=64, bisect_tol=1e-10):
 
     Rays live in gradient coordinates: y(t) = grad f*(grad f(z) + t*u).
     Along such rays D(z, y(t)) need not be monotone, so a coarse pre-scan
-    looks for additional crossings and reports them as well.
+    looks for additional crossings and reports them as well.  All rays
+    advance together: each step evaluates one batch over the rays (or
+    brackets) still in play.  Rows come out by theta, then by crossing.
     """
+    thetas = [2.0 * math.pi * k / res for k in range(res)]
+    if r == 0.0:
+        return [(theta, z.copy(), 1) for theta in thetas]
     gz = F.grad(z)
+    U = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas]).reshape(-1, 2)
+
+    def phi(t, u):
+        return distance(F, z, F.grad_star(gz + t[..., None] * u)) - r
+
+    # grow t_hi until D(z, y(t_hi)) >= r: toward the edge of dom f* when
+    # the ray leaves it, by doubling otherwise
+    t_limit = _dual_ray_limit(F, gz, U)
+    bounded = np.isfinite(t_limit)
+    t_hi = np.minimum(1.0, 0.5 * t_limit)
+    found = np.zeros(res, dtype=bool)
+    active = np.arange(res)
+    for _ in range(200):
+        if active.size == 0:
+            break
+        hit = phi(t_hi[active], U[active]) >= 0.0
+        found[active[hit]] = True
+        active = active[~hit]
+        lim, fin = t_limit[active], bounded[active]
+        t = np.where(fin, 0.5 * (t_hi[active] + lim), 2.0 * t_hi[active])
+        t_hi[active] = t
+        active = active[~np.where(fin, lim - t < 1e-14 * lim, t > 1e12)]
+
+    rays = np.flatnonzero(found)
+    ts = np.linspace(0.0, t_hi[rays], prescan, axis=-1)
+    vals = phi(ts, U[rays, None, :])
+    signs = vals >= 0.0
+    change = signs[:, 1:] != signs[:, :-1]
+    ray_of, i = np.nonzero(change)
+    roots = _bisect(lambda t, b: phi(t, U[rays[ray_of[b]]]) >= 0.0,
+                    ts[ray_of, i], ts[ray_of, i + 1], signs[ray_of, i], bisect_tol)
+    # a ray whose crossing sits exactly at a scan point shows no sign change
+    flat = np.flatnonzero(~change.any(axis=1))
+    ray_t = np.concatenate([rays[ray_of], rays[flat]])
+    t = np.concatenate([roots, ts[flat, np.argmin(np.abs(vals[flat]), axis=1)]])
+    crossings = [[] for _ in range(res)]
+    for k, point in zip(ray_t.tolist(), F.grad_star(gz + t[:, None] * U[ray_t])):
+        crossings[k].append(point)
+
     rows = []
-    for k in range(res):
-        theta = 2.0 * math.pi * k / res
-        if r == 0.0:
-            rows.append((theta, z.copy(), 1))
-            continue
-        u = np.array([math.cos(theta), math.sin(theta)])
-
-        def phi(t):
-            point = F.grad_star(gz + t * u)
-            return float(distance(F, z, point)) - r
-
-        t_limit = _dual_ray_limit(F, gz, u)
-        t_hi = min(1.0, 0.5 * t_limit) if np.isfinite(t_limit) else 1.0
-        found = False
-        for _ in range(200):
-            if phi(t_hi) >= 0.0:
-                found = True
-                break
-            if np.isfinite(t_limit):
-                t_hi = 0.5 * (t_hi + t_limit)
-                if t_limit - t_hi < 1e-14 * t_limit:
-                    break
-            else:
-                t_hi *= 2.0
-                if t_hi > 1e12:
-                    break
-        if not found:
+    for k, theta in enumerate(thetas):
+        if not found[k]:
             rows.append((theta, None, 0))
-            continue
-
-        ts = np.linspace(0.0, t_hi, prescan)
-        vals = np.array([phi(t) for t in ts])
-        signs = vals >= 0.0
-        crossing = 0
-        for i in range(1, prescan):
-            if signs[i] != signs[i - 1]:
-                crossing += 1
-                t_root = _bisect(phi, ts[i - 1], ts[i], bisect_tol)
-                rows.append((theta, F.grad_star(gz + t_root * u), crossing))
-        if crossing == 0:
-            # the crossing sits exactly at a scan point
-            i = int(np.argmin(np.abs(vals)))
-            rows.append((theta, F.grad_star(gz + ts[i] * u), 1))
+        rows.extend((theta, point, c) for c, point in enumerate(crossings[k], 1))
     return rows
 
 
-def _dual_ray_limit(F, gz, u):
-    """Largest t with gz + t*u still inside int dom f* (inf if unbounded)."""
+def _dual_ray_limit(F, gz, U):
+    """Per row u of U, the largest t with gz + t*u still inside int dom f*
+    (inf if unbounded)."""
     if F.kind is not Kind.NEG_LOG:
-        return np.inf
-    limits = [(-gz[j]) / u[j] for j in range(2) if u[j] > 0.0]
-    return min(limits) if limits else np.inf
+        return np.full(len(U), np.inf)
+    with np.errstate(divide="ignore"):
+        return np.where(U > 0.0, -gz / U, np.inf).min(axis=1)
 
 
-def _bisect(fn, lo, hi, tol):
-    flo = fn(lo)
+def _bisect(nonneg, lo, hi, lo_sign, tol):
+    """Bisect every bracket [lo[b], hi[b]] in lock-step down to width ``tol``.
+
+    ``nonneg(t, b)`` tells, for brackets ``b`` at points ``t``, whether the
+    function is >= 0 there; ``lo_sign`` is its value at the ``lo`` ends.
+    Returns the midpoint of each final bracket.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    root = np.empty_like(lo)
+    active = np.arange(lo.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = fn(mid)
-        if (fm >= 0.0) == (flo >= 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        done = hi[active] - lo[active] <= tol
+        root[active[done]] = mid[done]
+        active, mid = active[~done], mid[~done]
+        if active.size == 0:
+            return root
+        same = nonneg(mid, active) == lo_sign[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+    root[active] = 0.5 * (lo[active] + hi[active])
+    return root
 
 
 def cmd_repro(args):
@@ -395,8 +410,6 @@ def build_parser():
 
     p = sub.add_parser("repro", help="run the reproduction checks")
     p.add_argument("--tol", type=float, help="override center coordinate tolerances")
-    p.add_argument("--seed", type=int, help="accepted for interface parity; "
-                   "the checks are deterministic")
     p.set_defaults(fn=cmd_repro)
 
     return parser

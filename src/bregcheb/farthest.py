@@ -42,9 +42,18 @@ def farthest(F, C, x, tol=DEFAULT):
 
 
 def farthest_values(F, C, X):
-    """F_C over a batch of query points; +inf rows for points outside dom f."""
+    """F_C over a batch of query points; +inf rows for points outside dom f.
+
+    The rows of X go through ``distance_matrix`` in blocks of about 2**19
+    cells, so memory stays bounded however many query points there are.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.max(distance_matrix(F, X, C.enumerate()), axis=1)
+    pts = C.enumerate()
+    step = max(1, 2**19 // len(pts))
+    out = np.empty(len(X))
+    for lo in range(0, len(X), step):
+        out[lo:lo + step] = np.max(distance_matrix(F, X[lo:lo + step], pts), axis=1)
+    return out
 
 
 def directional_derivative(F, C, x, h, tol=DEFAULT):

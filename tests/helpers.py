@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 import bregcheb as bc
@@ -40,3 +42,122 @@ def random_finite_set(F, rng, n_points=4, spread=0.15):
     if orthant_domain(F):
         pts = np.maximum(pts, 0.05)
     return bc.CompactSet.finite(pts)
+
+
+# -- reference field-map writers ------------------------------------------
+#
+# The per-cell, per-pixel and per-ray code that ``bregcheb.cli`` used before
+# its field maps were batched.  The batched commands must reproduce these
+# bytes and points exactly.
+
+def _fmt(v):
+    return "inf" if math.isinf(v) else f"{v:.17g}"
+
+
+def reference_colormap_csv(F, C, region, n):
+    """CSV text of ``cli colormap``, one grid cell at a time, from one
+    unblocked distance matrix."""
+    x0, y0, x1, y1 = region
+    xs = np.linspace(x0, x1, n)
+    ys = np.linspace(y0, y1, n)
+    grid = np.array([[x, y] for y in ys for x in xs])
+    values = np.max(bc.distance_matrix(F, grid, C.enumerate()), axis=1).reshape(n, n)
+    lines = ["x,y,value"]
+    for iy in range(n):
+        for ix in range(n):
+            lines.append(f"{_fmt(xs[ix])},{_fmt(ys[iy])},{_fmt(values[iy, ix])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_ppm_bytes(values, interior):
+    """P6 image of ``cli colormap --ppm``, one pixel at a time."""
+    n = values.shape[0]
+    finite = np.isfinite(values)
+    shown = finite & interior
+    if np.any(shown):
+        vmin = float(values[shown].min())
+        vmax = float(values[shown].max())
+    else:
+        vmin = vmax = 0.0
+    span = vmax - vmin
+    pixels = bytearray()
+    for iy in range(n - 1, -1, -1):
+        for ix in range(n):
+            if not shown[iy, ix]:
+                pixels += b"\x00\x00\x00"
+            else:
+                t = 0.0 if span == 0.0 else (values[iy, ix] - vmin) / span
+                idx = min(255, int(t * 256.0))
+                pixels += bytes((idx, 0, 255 - idx))
+    header = f"P6\n{n} {n}\n255\n".encode("ascii")
+    return header + bytes(pixels)
+
+
+def reference_sphere_rows(F, z, r, res, prescan=64, bisect_tol=1e-10):
+    """Rows of ``cli sphere``, bisecting one dual-space ray at a time."""
+    gz = F.grad(z)
+    rows = []
+    for k in range(res):
+        theta = 2.0 * math.pi * k / res
+        if r == 0.0:
+            rows.append((theta, z.copy(), 1))
+            continue
+        u = np.array([math.cos(theta), math.sin(theta)])
+
+        def phi(t):
+            point = F.grad_star(gz + t * u)
+            return float(bc.distance(F, z, point)) - r
+
+        t_limit = _reference_dual_ray_limit(F, gz, u)
+        t_hi = min(1.0, 0.5 * t_limit) if np.isfinite(t_limit) else 1.0
+        found = False
+        for _ in range(200):
+            if phi(t_hi) >= 0.0:
+                found = True
+                break
+            if np.isfinite(t_limit):
+                t_hi = 0.5 * (t_hi + t_limit)
+                if t_limit - t_hi < 1e-14 * t_limit:
+                    break
+            else:
+                t_hi *= 2.0
+                if t_hi > 1e12:
+                    break
+        if not found:
+            rows.append((theta, None, 0))
+            continue
+
+        ts = np.linspace(0.0, t_hi, prescan)
+        vals = np.array([phi(t) for t in ts])
+        signs = vals >= 0.0
+        crossing = 0
+        for i in range(1, prescan):
+            if signs[i] != signs[i - 1]:
+                crossing += 1
+                t_root = _reference_bisect(phi, ts[i - 1], ts[i], bisect_tol)
+                rows.append((theta, F.grad_star(gz + t_root * u), crossing))
+        if crossing == 0:
+            i = int(np.argmin(np.abs(vals)))
+            rows.append((theta, F.grad_star(gz + ts[i] * u), 1))
+    return rows
+
+
+def _reference_dual_ray_limit(F, gz, u):
+    if F.kind is not bc.Kind.NEG_LOG:
+        return np.inf
+    limits = [(-gz[j]) / u[j] for j in range(2) if u[j] > 0.0]
+    return min(limits) if limits else np.inf
+
+
+def _reference_bisect(fn, lo, hi, tol):
+    flo = fn(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return mid
+        fm = fn(mid)
+        if (fm >= 0.0) == (flo >= 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

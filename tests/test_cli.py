@@ -2,8 +2,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
+import bregcheb as bc
 from bregcheb import cli
+
+from helpers import SPD_MATRIX, reference_colormap_csv, reference_ppm_bytes, reference_sphere_rows
 
 
 def run_cli(capsys, argv):
@@ -274,3 +278,87 @@ def test_repro_exit_codes(capsys):
     code, out, _ = run_cli(capsys, ["repro", "--tol", "1e-16"])
     assert code == 1
     assert "FAIL" in out
+
+
+# -- field maps against the one-cell, one-pixel, one-ray reference writers ----
+
+@pytest.mark.parametrize("gen", ["energy", "negentropy", "neglog"])
+@pytest.mark.parametrize("region", [(0.7, 1.3, 45.0, 46.1), (-1.0, -2.0, 3.0, 4.0)],
+                         ids=["interior", "with-inf-cells"])
+def test_colormap_bytes_match_reference(tmp_path, gen, region):
+    F = {"energy": bc.energy, "negentropy": bc.negentropy, "neglog": bc.neglog}[gen](2)
+    res = 40
+    out = tmp_path / "map.csv"
+    assert cli.main([
+        "colormap", "--gen", gen, "--segment", "32", "--samples", "101",
+        "--region=" + ",".join(repr(v) for v in region), "--res", str(res),
+        "--out", str(out), "--ppm",
+    ]) == 0
+    want = reference_colormap_csv(F, bc.make_segment(F, 32.0, 101), region, res)
+    assert out.read_bytes() == want.encode("ascii")
+    if gen != "energy" and region[0] < 0:
+        assert ",inf\n" in want
+
+    rows = [line.split(",") for line in want.splitlines()[1:]]
+    values = np.array([float(v) for _, _, v in rows]).reshape(res, res)
+    grid = np.array([[float(x), float(y)] for x, y, _ in rows])
+    interior = F.in_interior(grid).reshape(res, res)
+    assert out.with_suffix(".ppm").read_bytes() == reference_ppm_bytes(values, interior)
+
+
+@pytest.mark.parametrize("case", ["mixed", "one-value", "none-shown"])
+def test_write_ppm_matches_reference(tmp_path, case):
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-3.0, 40.0, size=(9, 9))
+    interior = rng.uniform(size=(9, 9)) < 0.7
+    values[0, :3] = np.inf
+    values[1, 4] = np.nan
+    if case == "one-value":          # span == 0 over the shown pixels
+        values[np.isfinite(values)] = 2.5
+    elif case == "none-shown":
+        interior[:] = False
+    path = tmp_path / "img.ppm"
+    cli._write_ppm(path, values, interior)
+    want = reference_ppm_bytes(values, interior)
+    assert path.read_bytes() == want
+    assert b"\x00\x00\x00" in want
+
+
+def _assert_same_rows(got, want):
+    assert [(theta, c) for theta, _, c in got] == [(theta, c) for theta, _, c in want]
+    for (_, p, _), (_, q, _) in zip(got, want):
+        assert (p is None) == (q is None)
+        if p is not None:
+            assert np.array_equal(p, q)
+
+
+SPHERE_CASES = [
+    ("energy", (0.3, -1.2), 1.7, 16),
+    ("quadratic", (-0.5, 2.0), 0.8, 16),
+    ("negentropy", (1.1, 2.5), 1.7, 16),
+    ("neglog", (2.7, 0.6), 1.7, 16),
+    ("neglog", (1.0, 1.0), 0.0, 8),          # zero radius
+    ("energy", (0.0, 0.0), 1e40, 4),         # unreachable: nan rows
+    ("negentropy", (1.0, 3.0), 1e40, 4),    # exp overflows before r is met
+    # D(z, grad f*(grad f(z))) = 4.8e-17 > r: no sign change in the
+    # pre-scan, so each ray reports its scan point nearest the sphere
+    ("negentropy", (0.3, 7.0), 1e-300, 4),
+    ("neglog", (400.0, 0.5), 1.0, 16),       # grad f(z) near the edge of dom f*
+    ("neglog", (1.0, 1.0), 31.0, 8),         # some rays reach the edge first: nan rows
+    ("neglog", (2e3, 3e3), 0.3, 16),
+]
+
+
+@pytest.mark.parametrize("gen,z,radius,res", SPHERE_CASES)
+def test_sphere_rows_match_per_ray_reference(gen, z, radius, res):
+    # No ray with more than one crossing turned up in a random search, so
+    # the crossing > 1 rows are covered here only by construction: the
+    # brackets of one ray are bisected and emitted exactly like single ones.
+    F = {"energy": bc.energy(2), "quadratic": bc.quadratic(SPD_MATRIX),
+         "negentropy": bc.negentropy(2), "neglog": bc.neglog(2)}[gen]
+    z = np.array(z)
+    got = cli._sphere_rows(F, z, radius, res)
+    want = reference_sphere_rows(F, z, radius, res)
+    _assert_same_rows(got, want)
+    if gen == "energy" and radius == 1e40:
+        assert all(p is None for _, p, _ in got)

@@ -208,3 +208,18 @@ def test_random_finite_sets_monotone():
             for _ in range(20):
                 x, y = sample_interior(F, rng, 2)
                 assert bc.monotonicity_witness(F, C, x, y) >= -1e-9
+
+
+@pytest.mark.parametrize("F", all_generators(), ids=lambda F: F.kind.value)
+def test_farthest_values_blocks_match_one_matrix(F):
+    # 2000 points give blocks of 2**19 // 2000 = 262 rows, so 1000 query
+    # rows span four blocks, the last one partial
+    rng = np.random.default_rng(17)
+    C = random_finite_set(F, rng, n_points=2000, spread=0.5)
+    X = rng.uniform(-1.0, 4.0, size=(1000, 2))
+    got = bc.farthest_values(F, C, X)
+    want = np.max(bc.distance_matrix(F, X, C.enumerate()), axis=1)
+    assert np.array_equal(got, want)
+    if orthant_domain(F):
+        assert np.isinf(got).sum() > 100    # rows outside dom f
+        assert np.array_equal(np.isinf(got), ~F.in_domain(X))
