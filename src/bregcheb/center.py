@@ -5,6 +5,11 @@ characterized in dual coordinates: grad f(z) must be a convex combination of
 grad f over the farthest points Q_C(z).  The certificate records that convex
 combination and its residual ("membership gap").
 
+The certificate weights, the minimum-norm subgradient direction and the hull
+projection each minimize f*(W^T mu) - <c, mu> over the simplex; one exact
+working-set solver, ``simplex.dual_argmin``, serves all three without
+enumerating supports.
+
 Two independent solvers are provided:
 
 * ``solve_fixed_point`` averages toward a current farthest point in dual
@@ -30,8 +35,7 @@ import numpy as np
 from .bregman import distance_matrix
 from .errors import DomainError, NonConvergence
 from .farthest import farthest
-from .legendre import Kind
-from .simplex import lsq_simplex_weights, min_norm_in_hull, project_to_simplex
+from .simplex import dual_argmin, lsq_simplex_weights, min_norm_in_hull
 from .tolerances import DEFAULT
 
 
@@ -83,7 +87,7 @@ def certify(F, C, z, gap_tol=1e-8, solver=SolverName.CLOSED_FORM, iterations=0,
         raise DomainError("certify requires z in the interior of dom f")
     res = farthest(F, C, z, tol)
     W = F.grad(res.argmax)
-    mu, gap = lsq_simplex_weights(W, F.grad(z), tol=1e-12)
+    mu, gap = lsq_simplex_weights(W, F.grad(z))
     multival_ok = len(res.argmax) >= 2 or len(C) < 2
     return CenterCertificate(
         center=z,
@@ -223,15 +227,6 @@ def _newton_minmax(F, pts, x0, max_iter):
             r3 = np.zeros(0)
         return np.concatenate([r1, r2, r3])
 
-    def hess(x):
-        if F.kind is Kind.ENERGY:
-            return np.eye(J)
-        if F.kind is Kind.QUADRATIC:
-            return F.quad_matrix
-        if F.kind is Kind.NEG_ENTROPY:
-            return np.diag(1.0 / x)
-        return np.diag(1.0 / x**2)
-
     scale = 1.0 + float(np.abs(F.grad(x0)).max())
     res = residual(x, mu)
     rnorm = float(np.linalg.norm(res))
@@ -239,7 +234,7 @@ def _newton_minmax(F, pts, x0, max_iter):
         if rnorm <= 1e-13 * scale:
             break
         Jac = np.zeros((J + m, J + m))
-        Jac[:J, :J] = hess(x)
+        Jac[:J, :J] = F.hess(x)
         Jac[:J, J:] = -Gc.T
         Jac[J, J:] = 1.0
         if m > 1:
@@ -401,151 +396,26 @@ class HullProjection:
     already_in_hull: bool
 
 
-def _fstar_hess_diag(F, s):
-    """Hessian of f* at s (diagonal, or the full inverse matrix)."""
-    if F.kind is Kind.ENERGY:
-        return np.eye(s.size)
-    if F.kind is Kind.QUADRATIC:
-        return np.linalg.inv(F.quad_matrix)
-    if F.kind is Kind.NEG_ENTROPY:
-        return np.diag(np.exp(s))
-    return np.diag(1.0 / s**2)
-
-
-def _simplex_min_newton(F, W, x, support, max_iter=60):
-    """Solve the support-restricted KKT system of min f*(W^T mu) - <x, W^T mu>.
-
-    Unknowns are the weights on the support and the multiplier of the
-    sum-to-one constraint; damped Newton with interior safeguarding of the
-    dual point.  Returns (mu_support, nu) or None.
-    """
-    Ws = W[list(support)]
-    k = Ws.shape[0]
-    mu = np.full(k, 1.0 / k)
-    nu = 0.0
-
-    def kkt(mu, nu):
-        s = Ws.T @ mu
-        g = Ws @ (F.grad_star(s) - x)
-        return np.concatenate([g - nu, [mu.sum() - 1.0]]), s
-
-    res, s = kkt(mu, nu)
-    rnorm = float(np.linalg.norm(res))
-    scale = 1.0 + float(np.abs(x).max())
-    for _ in range(max_iter):
-        if rnorm <= 1e-12 * scale:
-            break
-        H = Ws @ _fstar_hess_diag(F, s) @ Ws.T
-        Jac = np.zeros((k + 1, k + 1))
-        Jac[:k, :k] = H
-        Jac[:k, k] = -1.0
-        Jac[k, :k] = 1.0
-        try:
-            delta = np.linalg.solve(Jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        step = 1.0
-        accepted = False
-        while step > 1e-12:
-            mu_try = mu + step * delta[:k]
-            nu_try = nu + step * delta[k]
-            s_try = Ws.T @ mu_try
-            if F.in_dual_interior(s_try):
-                res_try, s_new = kkt(mu_try, nu_try)
-                rnorm_try = float(np.linalg.norm(res_try))
-                if np.isfinite(rnorm_try) and rnorm_try < rnorm * (1.0 - 1e-4 * step):
-                    mu, nu, res, s, rnorm = mu_try, nu_try, res_try, s_new, rnorm_try
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-    if not np.all(np.isfinite(res)) or rnorm > 1e-10 * scale:
-        return None
-    return mu, nu
-
-
-def _minimize_over_dual_hull(F, W, x):
-    """Global minimizer of f*(W^T mu) - <x, W^T mu> over the simplex.
-
-    Enumerates supports for small vertex counts and returns the first one
-    whose KKT conditions certify optimality (the problem is convex, so
-    stationarity with feasible multipliers is sufficient).  Falls back to
-    projected gradient for many vertices.
-    """
-    m = W.shape[0]
-    scale = 1.0 + float(np.abs(x).max())
-    if m <= 7:
-        supports = []
-        for size in range(1, m + 1):
-            supports.extend(combinations(range(m), size))
-        # larger supports first: the full-support stationary point is the
-        # common case for a projection of an exterior point onto a facet
-        supports.sort(key=len, reverse=True)
-        for support in supports:
-            out = _simplex_min_newton(F, W, x, support)
-            if out is None:
-                continue
-            mu_s, nu = out
-            if np.min(mu_s) < -1e-11:
-                continue
-            mu = np.zeros(m)
-            mu[list(support)] = np.maximum(mu_s, 0.0)
-            mu /= mu.sum()
-            grad_full = W @ (F.grad_star(W.T @ mu) - x)
-            if np.min(grad_full - nu) < -1e-8 * scale:
-                continue
-            return mu
-        return None
-
-    mu = np.full(m, 1.0 / m)
-
-    def objective(mu):
-        return F.fstar(W.T @ mu) - float(x @ (W.T @ mu))
-
-    val = objective(mu)
-    step = 1.0
-    for _ in range(20_000):
-        g = W @ (F.grad_star(W.T @ mu) - x)
-        nxt = project_to_simplex(mu - step * g)
-        nval = objective(nxt)
-        while nval > val and step > 1e-16:
-            step *= 0.5
-            nxt = project_to_simplex(mu - step * g)
-            nval = objective(nxt)
-        move = float(np.linalg.norm(nxt - mu))
-        mu, val = nxt, nval
-        if move <= 1e-12 * max(step, 1e-16):
-            break
-        step *= 1.5
-    return mu
-
-
 def dual_hull_projection(F, C, x, membership_tol=1e-9):
     """Project x onto grad f*(conv grad f(C)) in the Bregman sense.
 
     Minimizes s -> f*(s) - <x, s> over the convex hull of the dual points
     grad f(c) (an equivalent form of the Bregman projection in conjugate
-    coordinates), and maps the minimizer back through grad f*.  The
-    returned point y satisfies the decomposition inequality
+    coordinates) with ``dual_argmin``, and maps the minimizer back through
+    grad f*.  The returned point y satisfies the decomposition inequality
     D(x, c) >= D(x, y) + D(y, c) for every c in C.
 
-    When grad f(x) is itself in the dual hull (checked by a least-squares
-    weight fit), x is its own projection and the result is flagged.
+    The unconstrained minimizer is grad f(x), so when the hull's minimizer
+    lies within ``membership_tol`` of it, x is in the primal image of the
+    hull, is its own projection, and the result is flagged.
     """
     x = np.asarray(x, dtype=float)
     if not F.in_interior(x):
         raise DomainError("x must lie in the interior of dom f")
-    pts = C.enumerate()
-    W = F.grad(pts)
+    W = F.grad(C.enumerate())
     gx = F.grad(x)
-
-    mu_fit, resid = lsq_simplex_weights(W, gx, tol=1e-12)
-    if resid <= membership_tol * (1.0 + float(np.linalg.norm(gx))):
-        return HullProjection(point=x.copy(), weights=mu_fit, already_in_hull=True)
-
-    mu = _minimize_over_dual_hull(F, W, x)
-    if mu is None:
-        raise NonConvergence("dual hull projection did not certify a minimizer")
-    y = F.grad_star(W.T @ mu)
-    return HullProjection(point=y, weights=mu, already_in_hull=False)
+    mu = dual_argmin(F, W, W @ x)
+    s = W.T @ mu
+    if np.linalg.norm(s - gx) <= membership_tol * (1.0 + float(np.linalg.norm(gx))):
+        return HullProjection(point=x.copy(), weights=mu, already_in_hull=True)
+    return HullProjection(point=F.grad_star(s), weights=mu, already_in_hull=False)

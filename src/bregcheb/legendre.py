@@ -63,11 +63,10 @@ class LegendreFunction:
                 raise ValueError("matrix must be symmetric")
             A = 0.5 * (A + A.T)
             try:
-                chol = np.linalg.cholesky(A)
+                np.linalg.cholesky(A)
             except np.linalg.LinAlgError:
                 raise ValueError("matrix must be positive definite") from None
             A.setflags(write=False)
-            self._chol = chol
             self._inv = np.linalg.inv(A)
             self._inv.setflags(write=False)
             self.quad_matrix = A
@@ -187,16 +186,46 @@ class LegendreFunction:
     def grad_star(self, y):
         """Gradient of f*, the inverse of ``grad``; requires y in int dom f*."""
         y = self._check_dim(y)
-        ok = self.in_dual_interior(y)
-        if not np.all(ok):
-            raise DomainError(f"point outside int dom f* ({self.kind.value})")
         if self.kind is Kind.ENERGY:
             return y.copy()
         if self.kind is Kind.QUADRATIC:
             return y @ self._inv
         if self.kind is Kind.NEG_ENTROPY:
             return np.exp(y)
+        # the only kind whose dom f* is not all of R^J
+        if not (y < 0.0).all():
+            raise DomainError(f"point outside int dom f* ({self.kind.value})")
         return -1.0 / y
+
+    def hess(self, x):
+        """Hessian of f, shape ``x.shape + (J,)``; requires x in U."""
+        x = self._check_dim(x)
+        if self.kind is Kind.QUADRATIC:
+            return self.quad_matrix * np.ones(x.shape[:-1] + (1, 1))
+        if self.kind is Kind.ENERGY:
+            diag = np.ones_like(x)
+        else:
+            if not (x > 0.0).all():
+                raise DomainError(f"point outside the interior of dom f ({self.kind.value})")
+            diag = 1.0 / x if self.kind is Kind.NEG_ENTROPY else 1.0 / x**2
+        return diag[..., None] * np.eye(self.dimension)
+
+    def hess_star(self, y):
+        """Hessian of f*, the inverse of ``hess`` at grad_star(y), shape
+        ``y.shape + (J,)``; requires y in int dom f*."""
+        y = self._check_dim(y)
+        if self.kind is Kind.QUADRATIC:
+            return self._inv * np.ones(y.shape[:-1] + (1, 1))
+        if self.kind is Kind.ENERGY:
+            diag = np.ones_like(y)
+        elif self.kind is Kind.NEG_ENTROPY:
+            diag = np.exp(y)
+        else:
+            # the only kind whose dom f* is not all of R^J
+            if not (y < 0.0).all():
+                raise DomainError(f"point outside int dom f* ({self.kind.value})")
+            diag = 1.0 / y**2
+        return diag[..., None] * np.eye(self.dimension)
 
     # -- serialization -----------------------------------------------------
 

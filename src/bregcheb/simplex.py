@@ -1,96 +1,196 @@
-"""Small solvers over the probability simplex.
+"""One exact solver for every minimization over the probability simplex.
 
-Used for certificate weight fitting (least squares of a target against a
-convex hull of vertices) and for minimum-norm subgradient selection.
+``dual_argmin(F, W, c)``, a working-set Newton method, minimizes
+``f*(W^T mu) - <c, mu>``: the certificate weights and the minimum-norm
+subgradient (the energy case, least squares against a convex hull) and the
+Bregman hull projection (``c = W x``).  No support is enumerated.
 """
 
-from itertools import combinations
+import math
 
 import numpy as np
 
+from .errors import NonConvergence
+from .legendre import energy
 
-def project_to_simplex(v):
-    """Euclidean projection of v onto {w : w >= 0, sum w = 1}."""
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+# a few ulps: the rounding of a short sum or dot product, relative to |terms|
+_ROUND = 8.0 * np.finfo(float).eps
 
 
-def _affine_fit(V, b, support):
-    """Solve min ||b - V[support]^T mu|| with sum mu = 1 (no sign constraint)."""
-    Vs = V[list(support)]
-    m = len(support)
-    # KKT of the equality-constrained least squares in the mu variables
-    M = np.zeros((m + 1, m + 1))
-    M[:m, :m] = Vs @ Vs.T
-    M[:m, m] = 1.0
-    M[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[:m] = Vs @ b
-    rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol[:m]
+def _face_step(A, H, r):
+    """Newton step on a face: y minimizing r.y + |A^T y|_H^2 / 2, and its
+    slope -r.y.  A holds the face's vertices minus its first one, r their
+    gradient entries minus the first one's.  Gram-Schmidt in the inner
+    product of H factors A H A^T as R^T R from the rows of A, without
+    forming it, so rows that share one huge coordinate keep the small
+    differences that forming it would round away."""
+    n = len(A)
+    V = A.copy()
+    R = [[0.0] * n for _ in range(n)]
+    kept = []
+    for i in range(n):
+        Hv = H.dot(V[i])
+        norm = math.sqrt(max(V[i].dot(Hv), 0.0))
+        # skip a row within rounding of the span of the earlier ones
+        scale = math.sqrt(A[i].dot(H).dot(A[i])) if i else norm
+        if not norm > _ROUND * scale:
+            continue
+        kept.append(i)
+        R[i][i] = norm
+        if i + 1 < n:
+            row = V[i + 1:].dot(Hv) / norm
+            V[i + 1:] -= np.outer(row, V[i] / norm)
+            R[i][i + 1:] = row.tolist()
+    # R^T w = -r, then R y = w
+    r = r.tolist()
+    w = [0.0] * n
+    for i in kept:
+        w[i] = (-r[i] - sum(R[k][i] * w[k] for k in kept if k < i)) / R[i][i]
+    y = [0.0] * n
+    for i in reversed(kept):
+        y[i] = (w[i] - sum(R[i][k] * y[k] for k in kept if k > i)) / R[i][i]
+    return y, sum(v * v for v in w)
 
 
-_EXACT_LIMIT = 6
+def dual_argmin(F, W, c):
+    """Weights mu on the simplex minimizing f*(W^T mu) - <c, mu>, W with
+    one row per vertex in int dom f*.
+
+    Wolfe's minimum-norm-point scheme with f* in place of the squared norm:
+    from the first vertex, Newton steps on the face of the working set S,
+    with a ratio test that drops a vertex at zero weight, halve until the
+    slope along the step is not positive beyond rounding.  Once the face is
+    solved, the outside vertex with the lowest gradient entry
+    <W_j, grad f*(s)> - c_j joins if it may lie below one in S; if the step
+    on the enlarged face gains nothing above rounding, it is set aside
+    until the next step.  The solve ends when no vertex may join and a
+    face step has confirmed the face; NonConvergence after 50 (m + J) + 100
+    steps.  Each slope is weighed against its own rounding, so the large
+    rounding of s in a coordinate where all the face's rows are huge does
+    not hide a step that leaves that coordinate alone.
+
+    A face row dependent on the others gets no step.  That is exact when c
+    is affine along such dependencies, as c = W x and c = 0 are; for other
+    c (two equal rows with different c_i) the solve can stop short.
+    """
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    c = np.asarray(c, dtype=float)
+    m = len(W)
+    out = np.zeros(m)
+    if m == 1:
+        out[0] = 1.0
+        return out
+    W_abs, c_abs = np.abs(W), np.abs(c)
+
+    def evaluate(s, spread, H):
+        """W grad f*(s) - c, the rounding of each entry's dot product, and
+        that of grad f*(s), with the rounding _ROUND * spread of s carried
+        through H = hess f* near s."""
+        x = F.grad_star(s)
+        x_abs = np.abs(x)
+        x_err = x_abs if H is None else x_abs + np.abs(H).dot(spread)
+        return W.dot(x) - c, _ROUND * (W_abs.dot(x_abs) + c_abs), _ROUND * x_err
+
+    S, mu = [0], [1.0]
+    WS, WS_abs = W[:1], W_abs[:1]
+    # s is exact at a vertex; H = hess f*(s) once a face step needs it
+    s, H = W[0], None
+    g, own, x_err = evaluate(s, None, None)
+    added, set_aside = None, set()
+    # solved: the face's gradient entries agree within their pairwise
+    # rounding; checked: so a face step found, or the face has one direction
+    solved = checked = True
+    max_steps = 50 * (m + W.shape[1]) + 100
+    for _ in range(max_steps):
+        if solved:
+            outside = [j for j in range(m) if j not in S and j not in set_aside]
+            if outside:
+                tol = W_abs.dot(x_err) + own
+                gO = g.take(outside)
+                j = int(gO.argmin())
+                if gO[j] - tol[outside[j]] < (g.take(S) + tol.take(S)).max():
+                    added = outside[j]
+                    S.append(added)
+                    mu.append(0.0)
+                    WS, WS_abs = W.take(S, axis=0), W_abs.take(S, axis=0)
+                    solved = False
+                    continue
+            if checked:
+                break
+            solved = False
+            continue
+        if H is None:
+            H = F.hess_star(s)
+        A = WS[1:] - WS[0]
+        gS, ownS = g.take(S), own.take(S)
+        y, slope = _face_step(A, H, gS[1:] - gS[0])
+        d = [-sum(y)] + y
+        ratio = [-w / v if v < 0.0 else np.inf for w, v in zip(mu, d)]
+        t_max = min(ratio)
+        y = np.array(y)
+        # the slope's rounding: that of grad f*(s) along the step's
+        # displacement y A of s, and that of each gradient entry
+        moved, d_abs = np.abs(y.dot(A)), np.abs(d)
+        if not (slope > moved.dot(x_err) + d_abs.dot(ownS)
+                and t_max > 0.0 and any(w + v != w for w, v in zip(mu, d))):
+            solved = checked = True
+            if added is not None:
+                # the entries that chose it may be mostly rounding, so the
+                # other vertices still get their turn
+                S.pop()
+                mu.pop()
+                WS, WS_abs = WS[:-1], WS_abs[:-1]
+                set_aside.add(added)
+                added = None
+            continue
+        t = min(1.0, t_max)
+        for _ in range(60):
+            mu_t = [max(w + t * v, 0.0) for w, v in zip(mu, d)]
+            if t == t_max:
+                mu_t[ratio.index(t_max)] = 0.0
+            total = sum(mu_t)
+            mu_t = [w / total for w in mu_t]
+            s_t = np.dot(mu_t, WS)
+            g_t, own_t, x_err_t = evaluate(s_t, np.dot(mu_t, WS_abs), H)
+            gS, ownS = g_t.take(S), own_t.take(S)
+            if (gS[1:] - gS[0]).dot(y) <= moved.dot(x_err_t) + d_abs.dot(ownS):
+                break
+            t *= 0.5
+        mu, s, H, g, own, x_err = mu_t, s_t, None, g_t, own_t, x_err_t
+        if min(mu) == 0.0:
+            keep = [k for k, w in enumerate(mu) if w > 0.0]
+            S, mu = [S[k] for k in keep], [mu[k] for k in keep]
+            WS, WS_abs = W.take(S, axis=0), W_abs.take(S, axis=0)
+            gS, ownS = g.take(S), own.take(S)
+        added = None
+        set_aside.clear()
+        rounding = np.abs(WS[1:] - WS[0]).dot(x_err) + ownS[1:] + ownS[0]
+        solved = bool((np.abs(gS[1:] - gS[0]) <= rounding).all())
+        checked = solved and len(S) <= 2
+    else:
+        raise NonConvergence(f"dual_argmin: no optimal face after {max_steps} steps")
+    out.put(S, mu)
+    return out
 
 
-def lsq_simplex_weights(V, b, tol=1e-12, max_iter=50_000):
+def lsq_simplex_weights(V, b):
     """min over simplex mu of ||b - V^T mu||, V of shape (m, J).
 
-    Exact active-set enumeration for small m (every support of the optimum
-    is tried, so the result is the global minimum), projected gradient
-    otherwise.  Returns (mu, residual_norm).
+    The energy case of ``dual_argmin``: the minimum-norm point of the rows
+    of V - b.  Returns (mu, residual_norm).
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    b = np.asarray(b, dtype=float)
-    m = V.shape[0]
-    if m == 1:
-        mu = np.array([1.0])
-        return mu, float(np.linalg.norm(b - V[0]))
-
-    if m <= _EXACT_LIMIT:
-        best_mu, best_res = None, np.inf
-        for size in range(1, m + 1):
-            for support in combinations(range(m), size):
-                mu_s = _affine_fit(V, b, support)
-                if np.min(mu_s) < -1e-13:
-                    continue
-                mu = np.zeros(m)
-                mu[list(support)] = np.maximum(mu_s, 0.0)
-                s = mu.sum()
-                if s <= 0:
-                    continue
-                mu /= s
-                res = float(np.linalg.norm(b - V.T @ mu))
-                if res < best_res - 1e-15:
-                    best_mu, best_res = mu, res
-        return best_mu, best_res
-
-    # projected gradient on 0.5 * ||b - V^T mu||^2
-    Q = V @ V.T
-    lip = max(float(np.linalg.eigvalsh(Q).max()), 1e-30)
-    step = 1.0 / lip
-    mu = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
-        grad = Q @ mu - V @ b
-        nxt = project_to_simplex(mu - step * grad)
-        if np.linalg.norm(nxt - mu) <= tol * step:
-            mu = nxt
-            break
-        mu = nxt
-    return mu, float(np.linalg.norm(b - V.T @ mu))
+    # ||b - V^T mu|| = ||(V - b)^T mu|| on the simplex; shifting by b first
+    # keeps the gradient's rounding relative to |V_i - b|, not to |V_i||b|
+    D = V - b
+    mu = dual_argmin(energy(V.shape[1]), D, np.zeros(len(V)))
+    r = mu.dot(D)
+    return mu, math.sqrt(r.dot(r))
 
 
-def min_norm_in_hull(V, tol=1e-12):
-    """Minimum-norm point of conv(rows of V); returns (point, weights)."""
+def min_norm_in_hull(V):
+    """Minimum-norm point of conv(rows of V), the b = 0 case of
+    ``lsq_simplex_weights``; returns (point, weights)."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    mu, _ = lsq_simplex_weights(V, np.zeros(V.shape[1]), tol=tol)
-    return V.T @ mu, mu
+    mu, _ = lsq_simplex_weights(V, np.zeros(V.shape[1]))
+    return mu.dot(V), mu

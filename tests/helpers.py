@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -161,3 +162,133 @@ def _reference_bisect(fn, lo, hi, tol):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# -- reference simplex solvers ---------------------------------------------
+#
+# The support enumerations that ``bregcheb.simplex`` and
+# ``bregcheb.center`` used before one working-set solver replaced them.
+# Each tries every support, so it finds the global minimum; it is
+# exponential in the number of vertices and kept for small tests only.
+
+def _reference_affine_fit(V, b, support):
+    """Solve min ||b - V[support]^T mu|| with sum mu = 1 (no sign constraint)."""
+    Vs = V[list(support)]
+    m = len(support)
+    M = np.zeros((m + 1, m + 1))
+    M[:m, :m] = Vs @ Vs.T
+    M[:m, m] = 1.0
+    M[m, :m] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[:m] = Vs @ b
+    rhs[m] = 1.0
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    return sol[:m]
+
+
+def reference_lsq_simplex_weights(V, b):
+    """min over simplex mu of ||b - V^T mu|| by trying every support;
+    returns (mu, residual_norm)."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    b = np.asarray(b, dtype=float)
+    m = V.shape[0]
+    best_mu, best_res = None, np.inf
+    for size in range(1, m + 1):
+        for support in combinations(range(m), size):
+            mu_s = _reference_affine_fit(V, b, support)
+            if np.min(mu_s) < -1e-13:
+                continue
+            mu = np.zeros(m)
+            mu[list(support)] = np.maximum(mu_s, 0.0)
+            s = mu.sum()
+            if s <= 0:
+                continue
+            mu /= s
+            res = float(np.linalg.norm(b - V.T @ mu))
+            if res < best_res - 1e-15:
+                best_mu, best_res = mu, res
+    return best_mu, best_res
+
+
+def _reference_support_newton(F, W, x, support, max_iter=60):
+    """Damped Newton on the KKT system of min f*(W^T mu) - <x, W^T mu>
+    restricted to a support; returns (mu_support, nu) or None."""
+    Ws = W[list(support)]
+    k = Ws.shape[0]
+    mu = np.full(k, 1.0 / k)
+    nu = 0.0
+
+    def kkt(mu, nu):
+        s = Ws.T @ mu
+        g = Ws @ (F.grad_star(s) - x)
+        return np.concatenate([g - nu, [mu.sum() - 1.0]]), s
+
+    res, s = kkt(mu, nu)
+    rnorm = float(np.linalg.norm(res))
+    scale = 1.0 + float(np.abs(x).max())
+    for _ in range(max_iter):
+        if rnorm <= 1e-12 * scale:
+            break
+        Jac = np.zeros((k + 1, k + 1))
+        Jac[:k, :k] = Ws @ F.hess_star(s) @ Ws.T
+        Jac[:k, k] = -1.0
+        Jac[k, :k] = 1.0
+        try:
+            delta = np.linalg.solve(Jac, -res)
+        except np.linalg.LinAlgError:
+            return None
+        step = 1.0
+        accepted = False
+        while step > 1e-12:
+            mu_try = mu + step * delta[:k]
+            nu_try = nu + step * delta[k]
+            s_try = Ws.T @ mu_try
+            if F.in_dual_interior(s_try):
+                res_try, s_new = kkt(mu_try, nu_try)
+                rnorm_try = float(np.linalg.norm(res_try))
+                if np.isfinite(rnorm_try) and rnorm_try < rnorm * (1.0 - 1e-4 * step):
+                    mu, nu, res, s, rnorm = mu_try, nu_try, res_try, s_new, rnorm_try
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            break
+    if not np.all(np.isfinite(res)) or rnorm > 1e-10 * scale:
+        return None
+    return mu, nu
+
+
+def reference_dual_hull_argmin(F, W, x):
+    """Minimizer of f*(W^T mu) - <x, W^T mu> over the simplex: the first
+    support, largest first, whose KKT conditions certify optimality; None
+    when no support certifies."""
+    # damped Newton on a wrong support may overflow before it is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reference_dual_hull_argmin(F, W, x)
+
+
+def _reference_dual_hull_argmin(F, W, x):
+    m = W.shape[0]
+    scale = 1.0 + float(np.abs(x).max())
+    supports = []
+    for size in range(1, m + 1):
+        supports.extend(combinations(range(m), size))
+    supports.sort(key=len, reverse=True)
+    for support in supports:
+        out = _reference_support_newton(F, W, x, support)
+        if out is None:
+            continue
+        mu_s, nu = out
+        if np.min(mu_s) < -1e-11:
+            continue
+        mu = np.zeros(m)
+        mu[list(support)] = np.maximum(mu_s, 0.0)
+        mu /= mu.sum()
+        grad_full = W @ (F.grad_star(W.T @ mu) - x)
+        if np.min(grad_full - nu) < -1e-8 * scale:
+            continue
+        return mu
+    return None
