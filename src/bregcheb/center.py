@@ -5,37 +5,34 @@ characterized in dual coordinates: grad f(z) must be a convex combination of
 grad f over the farthest points Q_C(z).  The certificate records that convex
 combination and its residual ("membership gap").
 
-The certificate weights, the minimum-norm subgradient direction and the hull
-projection each minimize f*(W^T mu) - <c, mu> over the simplex; one exact
-working-set solver, ``simplex.dual_argmin``, serves all three without
-enumerating supports.
+The certificate weights, the hull projection and the center each minimize
+f*(W^T mu) - <c, mu> over the simplex; one exact working-set solver,
+``simplex.dual_argmin``, serves all three without enumerating supports.
 
-Two independent solvers are provided:
-
-* ``solve_fixed_point`` averages toward a current farthest point in dual
-  coordinates with the step schedule 1/(t+2);
-* ``solve_subgradient`` descends along the minimum-norm element of the
-  subdifferential vertex hull with a 1/(L*sqrt(t)) step, backtracking to
-  stay inside U, and tracking the best iterate seen.
-
-Both approach the nonsmooth ridge of F_C only at rate O(1/t) resp.
-O(1/sqrt(t)), which is too slow to resolve argmax ties at double precision,
-so by default each run finishes with an active-set Newton refinement on the
-local min-max system (equal distances + dual membership).  Pass
-``polish=False`` for the bare iterations.
+The center maximizes the smooth dual <mu, K> - f*(G^T mu) over the simplex,
+with G = grad f(C), K_c = <G_c, c> - f(c) and z = grad f*(G^T mu): the same
+problem with W = G and c = K.  ``solve_subgradient`` makes that one
+``dual_argmin`` solve over the whole set.  The vertex the solver adds next,
+the lowest gradient entry <G_c, z> - K_c, is the farthest point
+argmax_c D(z, c), and where the working set's dual points are affinely
+dependent with K not affine along the dependency, its reduction step drops
+a vertex.  ``solve_fixed_point`` is Frank-Wolfe on the same dual, averaging
+toward a current farthest point in dual coordinates with the step schedule
+1/(t+2); it approaches the nonsmooth ridge of F_C only at rate O(1/t), so
+by default the exact solve finishes from its iterate.  ``polish=False``
+returns the bare averaging iterate, an independent path for cross-checks.
+(``solve_subgradient`` keeps the name of the subgradient method it
+replaced.)
 """
 
 import enum
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .bregman import distance_matrix
 from .errors import DomainError, NonConvergence
 from .farthest import farthest
-from .simplex import dual_argmin, lsq_simplex_weights, min_norm_in_hull
+from .simplex import _dual_argmin, dual_argmin, lsq_simplex_weights
 from .tolerances import DEFAULT
 
 
@@ -111,167 +108,37 @@ def default_start(F, C):
     return F.grad_star(G.mean(axis=0))
 
 
-def _candidate_pool(pts, vals, J):
-    """Near-maximal points thinned by spatial suppression.
-
-    Dense samplings put many near-duplicates of one local maximizer at the
-    top of the value ranking; keeping only one representative per cluster
-    lets genuinely distinct maximizers (e.g. both segment endpoints) stay
-    in the pool.
-    """
-    top = float(np.max(vals))
-    window = np.nonzero(vals >= top - 5e-2 * (1.0 + abs(top)))[0]
-    window = window[np.argsort(vals[window])[::-1]]
-    extent = 0.0
-    if len(window) > 1:
-        sub = pts[window]
-        extent = float(
-            np.max(np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1))
-        )
-    radius = 0.1 * extent
-    pool = []
-    for i in window:
-        if all(np.linalg.norm(pts[i] - pts[j]) > radius for j in pool):
-            pool.append(int(i))
-        if len(pool) >= J + 4:
-            break
-    if len(pool) < 2:
-        order = np.argsort(vals)[::-1]
-        for i in order:
-            if int(i) not in pool:
-                pool.append(int(i))
-            if len(pool) >= 2:
-                break
-    return pool
+def _dual_data(F, pts):
+    """G = grad f(C) and K_c = <G_c, c> - f(c): D(z, c) = f(z) + K_c - <G_c, z>."""
+    G = F.grad(pts)
+    return G, np.sum(G * pts, axis=-1) - F.f(pts)
 
 
-def _minmax_polish(F, C, z0, newton_iters=40):
-    """Newton refinement of the local min-max system at a candidate center.
+def _exact_center(F, C, x, max_steps=None):
+    """The center as one ``dual_argmin`` solve over all of C: mu
+    maximizing <mu, K> - f*(G^T mu) over the simplex, z = grad f*(G^T mu).
 
-    For small subsets A of near-maximal points at z0, solves the square
-    system grad f(x) = sum mu_i grad f(c_i), sum mu = 1, equal distances
-    D(x, c_i) across A, and returns the first solution passing the
-    sufficient optimality conditions (nonnegative weights, no point of C
-    farther than the common distance).  The center is unique, so the first
-    certified solution is the center.  A certified violator outside the
-    current pool is pulled in and the search continues.  Returns
-    (x, mu, indices) or None when no subset certifies.
+    The working set starts at the farthest point of x.  Returns (z, mu,
+    steps, done); done is false when max_steps (default ``dual_argmin``'s
+    cap) ran out first, and z is then the last iterate, whose dual value is
+    the best seen.
     """
     pts = C.enumerate()
-    n, J = pts.shape
-    vals = distance_matrix(F, z0[None, :], pts)[0]
-
-    if n == 1:
-        pool = [0]
-    else:
-        pool = _candidate_pool(pts, vals, J)
-
-    def subsets(pool):
-        if n == 1:
-            return [(0,)]
-        out = []
-        for size in range(2, min(len(pool), J + 1) + 1):
-            subs = list(combinations(sorted(pool), size))
-            subs.sort(key=lambda s: -sum(vals[list(s)]))
-            out.extend(subs)
-        return out
-
-    slack = 1e-9
-    tried = set()
-    for _ in range(4):
-        grew = False
-        for active in subsets(pool):
-            if active in tried:
-                continue
-            tried.add(active)
-            sol = _newton_minmax(F, pts[list(active)], z0, newton_iters)
-            if sol is None:
-                continue
-            x, mu = sol
-            if np.min(mu) < -1e-9:
-                continue
-            dvals = distance_matrix(F, x[None, :], pts)[0]
-            r = float(np.max(dvals[list(active)]))
-            if np.max(dvals) > r + slack * (1.0 + abs(r)):
-                worst = int(np.argmax(dvals))
-                if worst not in pool:
-                    pool.append(worst)
-                    grew = True
-                continue
-            return x, np.maximum(mu, 0.0), list(active)
-        if not grew:
-            break
-    return None
+    G, K = _dual_data(F, pts)
+    first = int(np.argmax(K - G @ x))
+    order = np.arange(len(pts))
+    order[[0, first]] = order[[first, 0]]
+    mu_order, steps, done = _dual_argmin(F, G[order], K[order], max_steps)
+    mu = np.empty_like(mu_order)
+    mu[order] = mu_order
+    return F.grad_star(mu @ G), mu, steps, done
 
 
-def _newton_minmax(F, pts, x0, max_iter):
-    """Damped Newton on the square system of the m-point min-max center.
-
-    Steps are scaled back until the iterate stays in U and the residual
-    norm decreases, which keeps the method stable when the equal-distance
-    equations are poorly conditioned.
-    """
-    m, J = pts.shape
-    Gc = F.grad(pts)
-    x = x0.copy()
-    mu = np.full(m, 1.0 / m)
-
-    def residual(x, mu):
-        gx = F.grad(x)
-        r1 = gx - Gc.T @ mu
-        r2 = np.array([mu.sum() - 1.0])
-        if m > 1:
-            d = distance_matrix(F, x[None, :], pts)[0]
-            r3 = d[1:] - d[0]
-        else:
-            r3 = np.zeros(0)
-        return np.concatenate([r1, r2, r3])
-
-    scale = 1.0 + float(np.abs(F.grad(x0)).max())
-    res = residual(x, mu)
-    rnorm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if rnorm <= 1e-13 * scale:
-            break
-        Jac = np.zeros((J + m, J + m))
-        Jac[:J, :J] = F.hess(x)
-        Jac[:J, J:] = -Gc.T
-        Jac[J, J:] = 1.0
-        if m > 1:
-            Jac[J + 1:, :J] = Gc[0] - Gc[1:]
-        try:
-            delta = np.linalg.solve(Jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        s = 1.0
-        accepted = False
-        while s > 1e-10:
-            x_try = x + s * delta[:J]
-            if F.in_interior(x_try):
-                mu_try = mu + s * delta[J:]
-                res_try = residual(x_try, mu_try)
-                rnorm_try = float(np.linalg.norm(res_try))
-                if np.isfinite(rnorm_try) and rnorm_try < rnorm * (1.0 - 1e-4 * s):
-                    x, mu, res, rnorm = x_try, mu_try, res_try, rnorm_try
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
-            break
-    if not np.all(np.isfinite(res)) or rnorm > 1e-9 * scale:
-        return None
-    return x, mu
-
-
-def _finish(F, C, x, iterations, solver, tol_stop, hit_max_iter, polish, tol):
-    if polish:
-        out = _minmax_polish(F, C, x)
-        if out is not None:
-            x = out[0]
+def _finish(F, C, x, iterations, solver, tol_stop, converged, tol):
     gap_tol = 100.0 * tol_stop
     cert = certify(F, C, x, gap_tol=gap_tol, solver=solver,
                    iterations=iterations, tol=tol)
-    if hit_max_iter and cert.membership_gap > gap_tol:
+    if not converged and cert.membership_gap > gap_tol:
         raise NonConvergence(
             f"{solver.value}: membership gap {cert.membership_gap:.3e} above "
             f"{gap_tol:.3e} after {iterations} iterations",
@@ -280,26 +147,30 @@ def _finish(F, C, x, iterations, solver, tol_stop, hit_max_iter, polish, tol):
     return cert
 
 
+def _start(F, C, x0):
+    if x0 is None:
+        x0 = default_start(F, C)
+    x0 = np.asarray(x0, dtype=float)
+    if not F.in_interior(x0):
+        raise DomainError("x0 must lie in the interior of dom f")
+    return x0
+
+
 def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
                       tolerances=DEFAULT):
     """Dual averaging toward a farthest point with step 1/(t+2).
 
     Iterates x_{t+1} = grad f*((1 - eta_t) grad f(x_t) + eta_t grad f(q_t))
     with eta_t = 1/(t+2) and q_t a farthest point of x_t, stopping when the
-    dual step norm falls below ``tol``.
+    dual step norm falls below ``tol``.  With ``polish`` the exact dual
+    solve finishes from the last iterate; without it the bare iterate is
+    certified.
     """
-    pts = C.enumerate()
-    if x0 is None:
-        x0 = default_start(F, C)
-    x0 = np.asarray(x0, dtype=float)
-    if not F.in_interior(x0):
-        raise DomainError("x0 must lie in the interior of dom f")
-
-    G = F.grad(pts)
-    K = np.sum(G * pts, axis=-1) - F.f(pts)
+    x0 = _start(F, C, x0)
+    G, K = _dual_data(F, C.enumerate())
     y = F.grad(x0)
     t = 0
-    hit_max = True
+    converged = False
     while t < max_iter:
         x = F.grad_star(y)
         q = int(np.argmax(K - G @ x))
@@ -309,82 +180,24 @@ def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
         y = y_next
         t += 1
         if step <= tol:
-            hit_max = False
+            converged = True
             break
     x = F.grad_star(y)
-    return _finish(F, C, x, t, SolverName.FIXED_POINT, tol, hit_max, polish,
-                   tolerances)
+    if polish:
+        x, _, _, converged = _exact_center(F, C, x)
+    return _finish(F, C, x, t, SolverName.FIXED_POINT, tol, converged, tolerances)
 
 
-def solve_subgradient(F, C, x0=None, max_iter=2_000, tol=1e-9, polish=True,
-                      tolerances=DEFAULT):
-    """Projected subgradient descent on F_C.
+def solve_subgradient(F, C, x0=None, max_iter=2_000, tol=1e-9, tolerances=DEFAULT):
+    """The center from one exact dual solve, started at the farthest point
+    of x0 (by default ``default_start``).
 
-    The direction is the minimum-norm element of the convex hull of the
-    subdifferential vertices grad f(x) - grad f(q), with q ranging over the
-    near-maximizers inside a window that shrinks with the step size (the
-    window makes the direction follow the nonsmooth ridge instead of
-    zigzagging across it; it collapses to Q_C(x) as the steps vanish).  The
-    step is 1/(L*sqrt(t)) with L estimated from the subgradient norms at x0,
-    halved until the iterate stays in U.  The best iterate seen is kept.
+    ``max_iter`` caps the working-set steps, which the certificate counts
+    as its iterations; the certificate's gap tolerance is 100 ``tol``.
     """
-    pts = C.enumerate()
-    if x0 is None:
-        x0 = default_start(F, C)
-    x = np.asarray(x0, dtype=float).copy()
-    if not F.in_interior(x):
-        raise DomainError("x0 must lie in the interior of dom f")
-
-    G = F.grad(pts)
-
-    def value_and_vertices(x, window):
-        vals = distance_matrix(F, x[None, :], pts)[0]
-        top = float(np.max(vals))
-        cut = max(top - window, top * (1.0 - tolerances.argmax_rel) - tolerances.argmax_abs)
-        idx = np.nonzero(vals >= cut)[0]
-        if len(idx) > 6:
-            idx = idx[np.argsort(vals[idx])[::-1][:6]]
-        return top, F.grad(x)[None, :] - G[idx]
-
-    val, verts = value_and_vertices(x, 0.0)
-    L = max(float(np.linalg.norm(verts, axis=1).max()), 1e-12)
-    best_x, best_val = x.copy(), val
-    t = 0
-    hit_max = True
-    window = 0.0
-    stall_mark, stall_val = 0, val
-    while t < max_iter:
-        t += 1
-        v, _ = min_norm_in_hull(verts)
-        vnorm = float(np.linalg.norm(v))
-        if vnorm <= tol:
-            hit_max = False
-            break
-        step = 1.0 / (L * math.sqrt(t))
-        cand = x - step * v
-        halvings = 0
-        while not F.in_interior(cand) and halvings < 60:
-            step *= 0.5
-            cand = x - step * v
-            halvings += 1
-        if halvings >= 60:
-            break
-        x = cand
-        window = min(2.0 * L * step * vnorm, 1e-2 * (1.0 + abs(val)))
-        val, verts = value_and_vertices(x, window)
-        if val < best_val:
-            best_val, best_x = val, x.copy()
-        if best_val < stall_val - 1e-12 * (1.0 + abs(best_val)):
-            stall_mark, stall_val = t, best_val
-        elif t - stall_mark >= 250:
-            # no measurable progress for many steps: the iterate has
-            # localized and the refinement can take over
-            hit_max = False
-            break
-    if best_val < val:
-        x = best_x
-    return _finish(F, C, x, t, SolverName.SUBGRADIENT, tol, hit_max, polish,
-                   tolerances)
+    x0 = _start(F, C, x0)
+    z, _, steps, done = _exact_center(F, C, x0, max_iter)
+    return _finish(F, C, z, steps, SolverName.SUBGRADIENT, tol, done, tolerances)
 
 
 @dataclass

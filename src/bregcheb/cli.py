@@ -116,7 +116,7 @@ def cmd_center(args):
                                          max_iter=iters, polish=polish)
             iters = args.max_iter if args.max_iter is not None else 3_000
             return solve_subgradient(F, C, x0=args.x0, tol=args.tol,
-                                     max_iter=iters, polish=polish)
+                                     max_iter=iters)
         except NonConvergence as exc:
             code = 3
             return exc.certificate
@@ -382,7 +382,7 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--x0", type=_parse_vector)
     p.add_argument("--no-polish", action="store_true",
-                   help="skip the final active-set Newton refinement")
+                   help="fixed solver only: return the bare averaging iterate")
     p.set_defaults(fn=cmd_center)
 
     p = sub.add_parser("oracle", help="closed-form centers for the segment family")

@@ -17,23 +17,38 @@ from .legendre import energy
 _ROUND = 8.0 * np.finfo(float).eps
 
 
+def _back(R, kept, b):
+    """y solving R y = b over the kept rows and columns of the upper
+    triangular R, zero elsewhere."""
+    y = [0.0] * len(R)
+    for i in reversed(kept):
+        y[i] = (b[i] - sum(R[i][k] * y[k] for k in kept if k > i)) / R[i][i]
+    return y
+
+
 def _face_step(A, H, r):
-    """Newton step on a face: y minimizing r.y + |A^T y|_H^2 / 2, and its
-    slope -r.y.  A holds the face's vertices minus its first one, r their
-    gradient entries minus the first one's.  Gram-Schmidt in the inner
-    product of H factors A H A^T as R^T R from the rows of A, without
-    forming it, so rows that share one huge coordinate keep the small
-    differences that forming it would round away."""
+    """Newton step on a face: y minimizing r.y + |A^T y|_H^2 / 2, its
+    slope -r.y, and the null combinations of the face's rows.  A holds the
+    face's vertices minus its first one, r their gradient entries minus the
+    first one's.  Gram-Schmidt in the inner product of H factors A H A^T as
+    R^T R from the rows of A, without forming it, so rows that share one
+    huge coordinate keep the small differences that forming it would round
+    away.  A row within rounding of the span of the earlier ones gets no
+    Newton step; its null combination, y with y A = 0 and its own entry 1,
+    comes from back-substitution on R."""
     n = len(A)
     V = A.copy()
     R = [[0.0] * n for _ in range(n)]
-    kept = []
+    kept, nulls = [], []
     for i in range(n):
         Hv = H.dot(V[i])
         norm = math.sqrt(max(V[i].dot(Hv), 0.0))
-        # skip a row within rounding of the span of the earlier ones
         scale = math.sqrt(A[i].dot(H).dot(A[i])) if i else norm
         if not norm > _ROUND * scale:
+            # A_i = sum_k a_k A_k over the kept rows k < i, R a = R[:, i]
+            y = [-v for v in _back(R, kept, [row[i] for row in R])]
+            y[i] = 1.0
+            nulls.append(np.array(y))
             continue
         kept.append(i)
         R[i][i] = norm
@@ -46,10 +61,18 @@ def _face_step(A, H, r):
     w = [0.0] * n
     for i in kept:
         w[i] = (-r[i] - sum(R[k][i] * w[k] for k in kept if k < i)) / R[i][i]
-    y = [0.0] * n
-    for i in reversed(kept):
-        y[i] = (w[i] - sum(R[i][k] * y[k] for k in kept if k > i)) / R[i][i]
-    return y, sum(v * v for v in w)
+    return _back(R, kept, w), sum(v * v for v in w), nulls
+
+
+def _direction(y, mu, A, x_err, own):
+    """For a face step y: the step d on the face's weights mu, each weight's
+    ratio-test limit, |y A| and |d|, and the rounding of the slope along d,
+    that of grad f*(s) along the displacement y A of s plus that of each
+    gradient entry."""
+    d = [-sum(y)] + list(y)
+    ratio = [-w / v if v < 0.0 else np.inf for w, v in zip(mu, d)]
+    moved, d_abs = np.abs(np.dot(y, A)), np.abs(d)
+    return d, ratio, moved, d_abs, moved.dot(x_err) + d_abs.dot(own)
 
 
 def dual_argmin(F, W, c):
@@ -59,27 +82,39 @@ def dual_argmin(F, W, c):
     Wolfe's minimum-norm-point scheme with f* in place of the squared norm:
     from the first vertex, Newton steps on the face of the working set S,
     with a ratio test that drops a vertex at zero weight, halve until the
-    slope along the step is not positive beyond rounding.  Once the face is
-    solved, the outside vertex with the lowest gradient entry
-    <W_j, grad f*(s)> - c_j joins if it may lie below one in S; if the step
-    on the enlarged face gains nothing above rounding, it is set aside
-    until the next step.  The solve ends when no vertex may join and a
-    face step has confirmed the face; NonConvergence after 50 (m + J) + 100
-    steps.  Each slope is weighed against its own rounding, so the large
-    rounding of s in a coordinate where all the face's rows are huge does
-    not hide a step that leaves that coordinate alone.
-
-    A face row dependent on the others gets no step.  That is exact when c
-    is affine along such dependencies, as c = W x and c = 0 are; for other
-    c (two equal rows with different c_i) the solve can stop short.
+    slope along the step is not positive beyond rounding.  Where the face's
+    rows are affinely dependent, a null combination of them leaves s =
+    W_S^T mu in place and moves the objective linearly; if that slope beats
+    its rounding, a reduction step goes along it to the ratio-test
+    boundary and drops a vertex.  Once the face is solved, the outside
+    vertex with the lowest gradient entry <W_j, grad f*(s)> - c_j joins if
+    it may lie below one in S; if the step on the enlarged face gains
+    nothing above rounding, it is set aside until the next step.  The solve
+    ends when no vertex may join and a face step has confirmed the face;
+    NonConvergence after 50 (m + J) + 100 steps.  Each slope is weighed
+    against its own rounding, so the large rounding of s in a coordinate
+    where all the face's rows are huge does not hide a step that leaves
+    that coordinate alone.
     """
+    mu, steps, done = _dual_argmin(F, W, c)
+    if not done:
+        raise NonConvergence(f"dual_argmin: no optimal face after {steps} steps")
+    return mu
+
+
+def _dual_argmin(F, W, c, max_steps=None):
+    """``dual_argmin`` within max_steps steps (default 50 (m + J) + 100):
+    (mu, steps taken, whether the face was confirmed optimal).  mu is the
+    last iterate either way; no step raises the objective."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     c = np.asarray(c, dtype=float)
     m = len(W)
+    if max_steps is None:
+        max_steps = 50 * (m + W.shape[1]) + 100
     out = np.zeros(m)
     if m == 1:
         out[0] = 1.0
-        return out
+        return out, 0, True
     W_abs, c_abs = np.abs(W), np.abs(c)
 
     def evaluate(s, spread, H):
@@ -100,8 +135,10 @@ def dual_argmin(F, W, c):
     # solved: the face's gradient entries agree within their pairwise
     # rounding; checked: so a face step found, or the face has one direction
     solved = checked = True
-    max_steps = 50 * (m + W.shape[1]) + 100
-    for _ in range(max_steps):
+    done = False
+    steps = 0
+    while steps < max_steps:
+        steps += 1
         if solved:
             outside = [j for j in range(m) if j not in S and j not in set_aside]
             if outside:
@@ -116,6 +153,7 @@ def dual_argmin(F, W, c):
                     solved = False
                     continue
             if checked:
+                done = True
                 break
             solved = False
             continue
@@ -123,27 +161,36 @@ def dual_argmin(F, W, c):
             H = F.hess_star(s)
         A = WS[1:] - WS[0]
         gS, ownS = g.take(S), own.take(S)
-        y, slope = _face_step(A, H, gS[1:] - gS[0])
-        d = [-sum(y)] + y
-        ratio = [-w / v if v < 0.0 else np.inf for w, v in zip(mu, d)]
+        r = gS[1:] - gS[0]
+        y, slope, nulls = _face_step(A, H, r)
+        reduction = False
+        for y_null in nulls:
+            # y A = 0: s stays, and the objective moves by r.y = -d.c per
+            # unit step.  Older dependencies were flat when they formed and
+            # d.c does not change; the row that closed this one joined last,
+            # has entry 1 in y_null, and its weight can only grow
+            d, ratio, moved, d_abs, rounding = _direction(y_null, mu, A, x_err, ownS)
+            if -r.dot(y_null) > rounding and min(ratio) > 0.0:
+                y, reduction = y_null, True
+                break
+        if not reduction:
+            d, ratio, moved, d_abs, rounding = _direction(y, mu, A, x_err, ownS)
+            y = np.array(y)
+            if not (slope > rounding and min(ratio) > 0.0
+                    and any(w + v != w for w, v in zip(mu, d))):
+                solved = checked = True
+                if added is not None:
+                    # the entries that chose it may be mostly rounding, so
+                    # the other vertices still get their turn
+                    S.pop()
+                    mu.pop()
+                    WS, WS_abs = WS[:-1], WS_abs[:-1]
+                    set_aside.add(added)
+                    added = None
+                continue
         t_max = min(ratio)
-        y = np.array(y)
-        # the slope's rounding: that of grad f*(s) along the step's
-        # displacement y A of s, and that of each gradient entry
-        moved, d_abs = np.abs(y.dot(A)), np.abs(d)
-        if not (slope > moved.dot(x_err) + d_abs.dot(ownS)
-                and t_max > 0.0 and any(w + v != w for w, v in zip(mu, d))):
-            solved = checked = True
-            if added is not None:
-                # the entries that chose it may be mostly rounding, so the
-                # other vertices still get their turn
-                S.pop()
-                mu.pop()
-                WS, WS_abs = WS[:-1], WS_abs[:-1]
-                set_aside.add(added)
-                added = None
-            continue
-        t = min(1.0, t_max)
+        # the objective is linear along a reduction step: go to the boundary
+        t = t_max if reduction else min(1.0, t_max)
         for _ in range(60):
             mu_t = [max(w + t * v, 0.0) for w, v in zip(mu, d)]
             if t == t_max:
@@ -167,10 +214,8 @@ def dual_argmin(F, W, c):
         rounding = np.abs(WS[1:] - WS[0]).dot(x_err) + ownS[1:] + ownS[0]
         solved = bool((np.abs(gS[1:] - gS[0]) <= rounding).all())
         checked = solved and len(S) <= 2
-    else:
-        raise NonConvergence(f"dual_argmin: no optimal face after {max_steps} steps")
     out.put(S, mu)
-    return out
+    return out, steps, done
 
 
 def lsq_simplex_weights(V, b):

@@ -45,6 +45,50 @@ def random_finite_set(F, rng, n_points=4, spread=0.15):
     return bc.CompactSet.finite(pts)
 
 
+def domain_box(kind):
+    """A box inside the domain of the generator kind."""
+    return (0.1, 4.0) if kind in ("negentropy", "neglog") else (-3.0, 3.0)
+
+
+def random_generator(kind, J, rng):
+    """The generator of that kind in dimension J; a random, well-conditioned
+    matrix for ``quadratic``."""
+    if kind == "quadratic":
+        A = rng.normal(size=(J, J))
+        return bc.quadratic(A @ A.T + 0.3 * np.eye(J))
+    return bc.LegendreFunction(kind, J)
+
+
+LAYOUTS = ("generic", "duplicate", "collinear", "boundary")
+
+
+def layout_points(rng, kind, m, J, layout):
+    """m points in ``domain_box(kind)``: generic, with a repeated point, on
+    one segment, or (for the orthant kinds, layout "boundary") with about a
+    third of their coordinates within 1e-8 of the boundary."""
+    lo, hi = domain_box(kind)
+    P = rng.uniform(lo, hi, size=(m, J))
+    if layout == "duplicate":
+        P[rng.integers(m)] = P[rng.integers(m)]
+    elif layout == "collinear":
+        a, b = rng.uniform(lo, hi, size=(2, J))
+        P = a + rng.uniform(0.0, 1.0, size=(m, 1)) * (b - a)
+    elif layout == "boundary" and kind in ("negentropy", "neglog"):
+        near = rng.uniform(size=P.shape) < 0.3
+        P[near] = 1e-8 * rng.uniform(0.1, 1.0, size=near.sum())
+    return P
+
+
+def center_duality_gap(F, P, z, mu):
+    """F_C(z) - (<mu, K> - f*(G^T mu)) for the finite set P, with G = grad f(P)
+    and K_c = <G_c, c> - f(c), and F_C(z).  Any z and simplex weights mu
+    bound the radius from both sides, so the gap needs no tie rule."""
+    G = F.grad(P)
+    K = np.sum(G * P, axis=1) - F.f(P)
+    radius = float(np.max(bc.distance_matrix(F, z[None, :], P)))
+    return radius - (mu @ K - F.fstar(mu @ G)), radius
+
+
 # -- reference field-map writers ------------------------------------------
 #
 # The per-cell, per-pixel and per-ray code that ``bregcheb.cli`` used before

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bregcheb as bc
+from bregcheb.center import _exact_center
 from bregcheb.errors import DomainError, NonConvergence
 from bregcheb.simplex import lsq_simplex_weights
 
-from helpers import all_generators, orthant_domain, random_finite_set
+from helpers import (LAYOUTS, all_generators, center_duality_gap, layout_points,
+                     orthant_domain, random_finite_set, random_generator)
 
 
 def test_singleton_center_both_solvers():
@@ -71,6 +74,49 @@ def test_solver_agreement_on_random_sets():
             assert c1.valid and c2.valid
 
 
+@st.composite
+def finite_sets(draw):
+    """A generator and 1 to 40 points in its domain, in one of the layouts
+    of ``helpers.layout_points``."""
+    kind = draw(st.sampled_from(("energy", "quadratic", "negentropy", "neglog")))
+    J = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    layout = draw(st.sampled_from(LAYOUTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = random_generator(kind, J, rng)
+    return F, layout_points(rng, kind, n, J, layout)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(finite_sets())
+def test_exact_center_certifies_itself(problem):
+    # the solver's own weights bound the radius from below: no tie rule and
+    # no solver tolerance enters the gap
+    F, P = problem
+    C = bc.CompactSet.finite(P)
+    z, mu, _, done = _exact_center(F, C, bc.default_start(F, C))
+    assert done
+    assert np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= bc.DEFAULT.simplex_sum
+    gap, radius = center_duality_gap(F, P, z, mu)
+    assert gap <= 1e-12 * (1.0 + abs(radius))
+
+
+def test_exact_center_within_the_averaging_accuracy():
+    # F_C is f plus a convex function, so at its minimizer z every x has
+    # D(x, z) <= F_C(x) - F_C(z): the bare averaging iterate bounds how far
+    # it may lie from the exact center
+    rng = np.random.default_rng(72)
+    for F in all_generators():
+        for n_points in (2, 3, 6):
+            C = random_finite_set(F, rng, n_points=n_points)
+            x = bc.solve_fixed_point(F, C, tol=1e-4, polish=False).center
+            z = bc.solve_subgradient(F, C).center
+            f_x, f_z = bc.farthest_values(F, C, np.array([x, z]))
+            slack = 1e-12 * (1.0 + abs(f_x))
+            assert f_z <= f_x + slack
+            assert bc.distance(F, x, z) <= f_x - f_z + slack
+
+
 def test_certify_euclidean():
     F = bc.energy(2)
     C = bc.make_segment(F, 4.0, 5)
@@ -124,6 +170,12 @@ def test_nonconvergence_carries_certificate():
                              max_iter=5, polish=False)
     cert = err.value.certificate
     assert cert is not None and cert.iterations == 5
+    # the exact solve's cap counts working-set steps
+    C = random_finite_set(F, np.random.default_rng(17), n_points=6)
+    with pytest.raises(NonConvergence) as err:
+        bc.solve_subgradient(F, C, max_iter=1)
+    cert = err.value.certificate
+    assert cert is not None and cert.iterations == 1
 
 
 def test_default_start_in_interior_and_symmetric():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bregcheb as bc
-from bregcheb.simplex import lsq_simplex_weights
+from bregcheb.simplex import dual_argmin, lsq_simplex_weights
 
-from helpers import reference_dual_hull_argmin, reference_lsq_simplex_weights
+from helpers import (LAYOUTS, center_duality_gap, domain_box, layout_points,
+                     random_generator, reference_dual_hull_argmin,
+                     reference_lsq_simplex_weights)
 
 KINDS = ("energy", "quadratic", "negentropy", "neglog")
 
@@ -21,6 +23,63 @@ def test_target_on_a_hull_edge_is_exact():
     assert resid <= 1e-12
     res = bc.dual_hull_projection(bc.energy(3), bc.CompactSet.finite(P), b)
     assert res.already_in_hull
+
+
+def test_dependent_rows_take_a_reduction_step():
+    # the second row repeats the first with a larger c: no Newton step moves
+    # weight between them, only a step along their null combination does
+    F = bc.energy(2)
+    W = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    c = np.array([0.0, 1e-3, 0.0])
+    mu = dual_argmin(F, W, c)
+    assert F.fstar(W.T @ mu) - c @ mu <= -5e-4
+    # the optimum mu = (0, a, 1 - a) has 2 (2a - 1) = 1e-3
+    assert np.abs(mu - [0.0, 0.50025, 0.49975]).max() <= 1e-12
+
+
+# center duals <mu, K> - f*(G^T mu) of five sets of ``test_criterion_9``
+# (seed 404): from some first vertex the working set reaches affinely
+# dependent dual points whose K is not affine along the dependency, and
+# without a reduction step the solve stopped at duality gaps of 1e-4 to 2e-2
+CENTER_CASES = [
+    ("energy",
+     [[1.0426266430878828, 0.20108694940469826], [1.0198565432302347, 0.08385120672549343],
+      [1.1985370883833064, 0.20624858712261887], [1.1692442938837044, 0.06467121766784606],
+      [1.20462507103862, 0.09307705950645039], [1.1717056022155357, 0.24960546825692825]]),
+    ("negentropy",
+     [[1.558624856096315, 1.155014416511701], [1.4061650088288882, 1.2141765167921725],
+      [1.4765033399198786, 1.2359887119321564], [1.3418003013962423, 1.1445697045493095],
+      [1.545829477770629, 1.0831749658352086]]),
+    ("negentropy",
+     [[1.213997512700272, 1.1029513677705225], [1.071377115200632, 1.1702653440298785],
+      [1.2602933390034456, 1.1077960684908654], [1.0723629519246807, 0.987780335702992],
+      [1.0808781085746508, 0.9208384348194022], [1.3266463509819497, 0.9330714525423761]]),
+    ("neglog",
+     [[1.7524134288153659, 2.3446877091895084], [1.8717384769793048, 2.5176257309929237],
+      [1.8796508229267492, 2.4231943186651304], [1.6535480692830136, 2.542728719360242],
+      [1.7118284471003298, 2.4432232773115135], [1.6359818412654514, 2.4276760999657094]]),
+    ("neglog",
+     [[2.0583914592966095, 1.7683904613265011], [2.0437931613557394, 1.946649841383692],
+      [2.0831787715924897, 1.7579737149611503], [1.8998794023878305, 1.7454952184635464],
+      [1.8188757543592733, 1.7466207336451256], [1.8434885771486185, 2.0325527425007053]]),
+]
+
+
+@pytest.mark.parametrize("kind, points", CENTER_CASES)
+def test_center_dual_from_every_first_vertex(kind, points):
+    P = np.array(points)
+    F = bc.LegendreFunction(kind, 2)
+    G = F.grad(P)
+    K = np.sum(G * P, axis=1) - F.f(P)
+    for first in range(len(P)):
+        order = np.arange(len(P))
+        order[[0, first]] = order[[first, 0]]
+        mu = np.empty(len(P))
+        mu[order] = dual_argmin(F, G[order], K[order])
+        gap, radius = center_duality_gap(F, P, F.grad_star(mu @ G), mu)
+        assert gap <= 1e-12 * (1.0 + radius), first
+    cert = bc.solve_subgradient(F, bc.CompactSet.finite(P))
+    assert cert.valid and len(cert.farthest) >= 2
 
 
 # sets with coordinates within 1e-8 of the orthant boundary, so that neglog
@@ -146,29 +205,15 @@ def hull_problems(draw):
     kind = draw(st.sampled_from(KINDS))
     J = draw(st.integers(1, 6))
     m = draw(st.integers(1, 7))
-    layout = draw(st.sampled_from(("generic", "duplicate", "collinear", "boundary")))
+    layout = draw(st.sampled_from(LAYOUTS))
     inside = draw(st.booleans()) and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "quadratic":
-        A = rng.normal(size=(J, J))
-        F = bc.quadratic(A @ A.T + 0.3 * np.eye(J))
-    else:
-        F = bc.LegendreFunction(kind, J)
-    orthant = kind in ("negentropy", "neglog")
-    lo, hi = (0.1, 4.0) if orthant else (-3.0, 3.0)
-    P = rng.uniform(lo, hi, size=(m, J))
-    if layout == "duplicate":
-        P[rng.integers(m)] = P[rng.integers(m)]
-    elif layout == "collinear":
-        a, b = rng.uniform(lo, hi, size=(2, J))
-        P = a + rng.uniform(0.0, 1.0, size=(m, 1)) * (b - a)
-    elif layout == "boundary" and orthant:
-        near = rng.uniform(size=P.shape) < 0.3
-        P[near] = 1e-8 * rng.uniform(0.1, 1.0, size=near.sum())
+    F = random_generator(kind, J, rng)
+    P = layout_points(rng, kind, m, J, layout)
     if inside:
         x = F.grad_star(rng.dirichlet(np.ones(m)) @ F.grad(P))
     else:
-        x = rng.uniform(lo, hi, size=J)
+        x = rng.uniform(*domain_box(kind), size=J)
     return F, P, x
 
 
