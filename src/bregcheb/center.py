@@ -18,7 +18,8 @@ argmax_c D(z, c), and where the working set's dual points are affinely
 dependent with K not affine along the dependency, its reduction step drops
 a vertex.  ``solve_fixed_point`` is Frank-Wolfe on the same dual, averaging
 toward a current farthest point in dual coordinates with the step schedule
-1/(t+2); it approaches the nonsmooth ridge of F_C only at rate O(1/t), so
+1/(t+2) from the farthest point of x0; unless its duality gap certifies an
+optimum, it approaches the nonsmooth ridge of F_C only at rate O(1/t), so
 by default the exact solve finishes from its iterate.  ``polish=False``
 returns the bare averaging iterate, an independent path for cross-checks.
 (``solve_subgradient`` keeps the name of the subgradient method it
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .farthest import farthest
-from .simplex import _dual_argmin, dual_argmin, lsq_simplex_weights
+from .simplex import _ROUND, _dual_argmin, dual_argmin, lsq_simplex_weights
 from .tolerances import DEFAULT
 
 
@@ -158,28 +159,38 @@ def _start(F, C, x0):
 
 def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
                       tolerances=DEFAULT):
-    """Dual averaging toward a farthest point with step 1/(t+2).
+    """Frank-Wolfe on the dual: averaging toward a farthest point.
 
-    Iterates x_{t+1} = grad f*((1 - eta_t) grad f(x_t) + eta_t grad f(q_t))
-    with eta_t = 1/(t+2) and q_t a farthest point of x_t, stopping when the
-    dual step norm falls below ``tol``.  With ``polish`` the exact dual
-    solve finishes from the last iterate; without it the bare iterate is
-    certified.
+    Starts at y = grad f(q), q the farthest point of x0 (by default
+    ``default_start``), and iterates y <- (1 - eta_t) y + eta_t grad f(q_t)
+    with eta_t = 1/(t+2) and q_t a farthest point of x_t = grad f*(y),
+    stopping when the duality gap F_C(x_t) - dual(mu_t) is within its
+    rounding (a certified optimum) or the dual step falls to ``tol``.  With
+    ``polish`` the exact dual solve finishes from the last iterate; without
+    it the bare iterate is certified.
     """
     x0 = _start(F, C, x0)
     G, K = _dual_data(F, C.enumerate())
-    y = F.grad(x0)
+    q = int((K - G @ x0).argmax())
+    # y = G^T mu and muK = <mu, K> for the Frank-Wolfe weights mu
+    y, muK = G[q].copy(), K[q]
     t = 0
     converged = False
     while t < max_iter:
         x = F.grad_star(y)
-        q = int(np.argmax(K - G @ x))
+        v = K - G @ x
+        q = int(v.argmax())
+        # F_C(x) - dual(mu) = v_q - <mu, K> + <y, x>, since f(x) + f*(y) = <x, y>
+        vq, yx = v[q], x.dot(y)
+        if vq - muK + yx <= _ROUND * (abs(vq) + abs(muK) + abs(yx)):
+            converged = True
+            break
         eta = 1.0 / (t + 2)
-        y_next = (1.0 - eta) * y + eta * G[q]
-        step = float(np.linalg.norm(y_next - y))
-        y = y_next
+        d = G[q] - y
+        y += eta * d
+        muK += eta * (K[q] - muK)
         t += 1
-        if step <= tol:
+        if eta * d.dot(d) ** 0.5 <= tol:
             converged = True
             break
     x = F.grad_star(y)

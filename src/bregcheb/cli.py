@@ -237,64 +237,82 @@ def cmd_sphere(args):
     return 0
 
 
-def _sphere_rows(F, z, r, res, prescan=64, bisect_tol=1e-10):
+def _sphere_rows(F, z, r, res):
     """Boundary samples of {y : D(z, y) = r} along dual-space rays.
 
     Rays live in gradient coordinates: y(t) = grad f*(grad f(z) + t*u).
-    Along such rays D(z, y(t)) need not be monotone, so a coarse pre-scan
-    looks for additional crossings and reports them as well.  All rays
-    advance together: each step evaluates one batch over the rays (or
-    brackets) still in play.  Rows come out by theta, then by crossing.
+    Along a ray D(z, y(t)) = D_{f*}(grad f(z) + t*u, grad f(z)) (Bauschke
+    and Borwein 1997) is convex in t with value and slope 0 at t = 0, so it
+    increases strictly and every ray crosses the sphere exactly once.  A
+    bracket [lo, hi] grows until D(z, y(hi)) >= r (rays with none give nan
+    rows); Newton then runs from hi with slope <y(t) - z, u>, bisecting
+    whenever a step would leave the bracket.  All rays advance together:
+    each step evaluates one batch over the rays still in play.
     """
     thetas = [2.0 * math.pi * k / res for k in range(res)]
     if r == 0.0:
         return [(theta, z.copy(), 1) for theta in thetas]
     gz = F.grad(z)
     U = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas]).reshape(-1, 2)
+    eps = np.finfo(float).eps
+    # |D - r| counts as rounding on the scale 1 + r plus the terms D is
+    # computed from, f(z) - f(y) - <grad f(y), z - y> with f(y) near f(z)
+    noise = 4.0 * eps * (1.0 + abs(float(F.f(z))) + r)
 
-    def phi(t, u):
-        return distance(F, z, F.grad_star(gz + t[..., None] * u)) - r
+    def phi(t, u):  # D(z, y(t)) - r, its slope in t, and its rounding
+        s = gz + t[:, None] * u
+        y = F.grad_star(s)
+        with np.errstate(invalid="ignore"):
+            return (distance(F, z, y) - r, np.sum((y - z) * u, axis=-1),
+                    noise + 4.0 * eps * np.sum(np.abs(s * (z - y)), axis=-1))
 
-    # grow t_hi until D(z, y(t_hi)) >= r: toward the edge of dom f* when
-    # the ray leaves it, by doubling otherwise
+    # A ray without a bracket grows it: toward the edge of dom f* when the
+    # ray leaves it, by doubling otherwise.  A bracketed ray takes a Newton
+    # step.  From above the root, convexity keeps t - phi/phi' at or above
+    # it, but where D ~ t^2 (near t = 0, so for tiny r) that step only
+    # halves t; Newton on log D against log t, t (r/D)^(D/(t D')), is exact
+    # for any power of t, so it is taken when it lands between lo and the
+    # plain step.  A step that leaves [lo, hi] bisects instead.
     t_limit = _dual_ray_limit(F, gz, U)
-    bounded = np.isfinite(t_limit)
-    t_hi = np.minimum(1.0, 0.5 * t_limit)
-    found = np.zeros(res, dtype=bool)
+    t = np.minimum(1.0, 0.5 * t_limit)
+    lo, hi = np.zeros(res), np.full(res, np.inf)
+    root = np.full(res, np.nan)
     active = np.arange(res)
     for _ in range(200):
+        v, s, e = phi(t, U[active])
+        above = v >= 0.0
+        lo, hi = np.where(above, lo, t), np.where(above, t, hi)
+        lim = t_limit[active]
+        grown = np.where(np.isfinite(lim), 0.5 * (t + lim), 2.0 * t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = t - v / s
+            t_log = t * np.exp(np.log(r / (v + r)) * (v + r) / (t * s))
+        step = np.where((t_log > lo) & (t_log < step), t_log, step)
+        bracketed = hi < np.inf
+        done = bracketed & (((np.abs(v) <= e) & np.isfinite(v))
+                            | (np.abs(t - step) <= 4.0 * eps * t))
+        spent = bracketed & ~done & (hi - lo <= 4.0 * eps * hi)
+        lost = ~bracketed & np.where(np.isfinite(lim), lim - grown < 1e-14 * lim, grown > 1e12)
+        root[active[done]] = t[done]
+        # a spent bracket takes its upper end, where D(z, y) >= r
+        root[active[spent]] = hi[spent]
+        keep = ~(done | spent | lost)
+        active, t, lo, hi = active[keep], t[keep], lo[keep], hi[keep]
         if active.size == 0:
             break
-        hit = phi(t_hi[active], U[active]) >= 0.0
-        found[active[hit]] = True
-        active = active[~hit]
-        lim, fin = t_limit[active], bounded[active]
-        t = np.where(fin, 0.5 * (t_hi[active] + lim), 2.0 * t_hi[active])
-        t_hi[active] = t
-        active = active[~np.where(fin, lim - t < 1e-14 * lim, t > 1e12)]
+        inside = (step[keep] > lo) & (step[keep] < hi)
+        t = np.where(hi < np.inf, np.where(inside, step[keep], 0.5 * (lo + hi)), grown[keep])
+    else:
+        # out of steps: the upper end of each bracket, nan (inf) without one
+        root[active] = hi
 
-    rays = np.flatnonzero(found)
-    ts = np.linspace(0.0, t_hi[rays], prescan, axis=-1)
-    vals = phi(ts, U[rays, None, :])
-    signs = vals >= 0.0
-    change = signs[:, 1:] != signs[:, :-1]
-    ray_of, i = np.nonzero(change)
-    roots = _bisect(lambda t, b: phi(t, U[rays[ray_of[b]]]) >= 0.0,
-                    ts[ray_of, i], ts[ray_of, i + 1], signs[ray_of, i], bisect_tol)
-    # a ray whose crossing sits exactly at a scan point shows no sign change
-    flat = np.flatnonzero(~change.any(axis=1))
-    ray_t = np.concatenate([rays[ray_of], rays[flat]])
-    t = np.concatenate([roots, ts[flat, np.argmin(np.abs(vals[flat]), axis=1)]])
-    crossings = [[] for _ in range(res)]
-    for k, point in zip(ray_t.tolist(), F.grad_star(gz + t[:, None] * U[ray_t])):
-        crossings[k].append(point)
-
-    rows = []
-    for k, theta in enumerate(thetas):
-        if not found[k]:
-            rows.append((theta, None, 0))
-        rows.extend((theta, point, c) for c, point in enumerate(crossings[k], 1))
-    return rows
+    # a point that grad f* under- or overflowed out of U is no sphere point
+    ok = np.isfinite(root)
+    points = np.full((res, 2), np.nan)
+    points[ok] = F.grad_star(gz + root[ok, None] * U[ok])
+    ok &= F.in_interior(points)
+    return [(theta, points[k] if ok[k] else None, int(ok[k]))
+            for k, theta in enumerate(thetas)]
 
 
 def _dual_ray_limit(F, gz, U):
@@ -304,30 +322,6 @@ def _dual_ray_limit(F, gz, U):
         return np.full(len(U), np.inf)
     with np.errstate(divide="ignore"):
         return np.where(U > 0.0, -gz / U, np.inf).min(axis=1)
-
-
-def _bisect(nonneg, lo, hi, lo_sign, tol):
-    """Bisect every bracket [lo[b], hi[b]] in lock-step down to width ``tol``.
-
-    ``nonneg(t, b)`` tells, for brackets ``b`` at points ``t``, whether the
-    function is >= 0 there; ``lo_sign`` is its value at the ``lo`` ends.
-    Returns the midpoint of each final bracket.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    root = np.empty_like(lo)
-    active = np.arange(lo.size)
-    for _ in range(200):
-        mid = 0.5 * (lo[active] + hi[active])
-        done = hi[active] - lo[active] <= tol
-        root[active[done]] = mid[done]
-        active, mid = active[~done], mid[~done]
-        if active.size == 0:
-            return root
-        same = nonneg(mid, active) == lo_sign[active]
-        lo[active[same]] = mid[same]
-        hi[active[~same]] = mid[~same]
-    root[active] = 0.5 * (lo[active] + hi[active])
-    return root
 
 
 def cmd_repro(args):

@@ -9,10 +9,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # algebraic identity residuals (three-point, four-point, Fenchel-Young)
-    identity_residual: float = 1e-9
-    # slack allowed below zero for floating-point distance values
-    nonneg_slack: float = 1e-12
     # argmax membership: D >= value * (1 - argmax_rel) - argmax_abs
     argmax_rel: float = 1e-9
     argmax_abs: float = 1e-12

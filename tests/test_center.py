@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import bregcheb as bc
 from bregcheb.center import _exact_center
 from bregcheb.errors import DomainError, NonConvergence
+from bregcheb.repro import A_VALUES, SEGMENT_SAMPLES
 from bregcheb.simplex import lsq_simplex_weights
 
 from helpers import (LAYOUTS, all_generators, center_duality_gap, layout_points,
@@ -40,13 +41,31 @@ def test_fixed_point_kl_center():
 
 
 def test_fixed_point_unpolished_follows_schedule():
-    F = bc.energy(2)
-    C = bc.make_segment(F, 4.0, 5)
+    # three farthest points: no Frank-Wolfe iterate certifies, so the bare
+    # averaging stops once the dual step is below tol; its distance to the
+    # true center is of the same order
+    cfg = bc.CaseConfig(32.0, bc.Generator.ITAKURA_SAITO)
+    F, C = cfg.legendre(), cfg.segment(41)
     cert = bc.solve_fixed_point(F, C, tol=1e-4, max_iter=400_000, polish=False)
-    # the bare averaging stops once the dual step is below tol; its distance
-    # to the true center is of the same order
-    assert np.max(np.abs(cert.center - 2.5)) <= 1e-3
+    assert np.max(np.abs(cert.center - bc.center_is(32.0).point)) <= 1e-3
     assert cert.iterations > 1000
+
+
+def test_fixed_point_stops_at_certified_optimum():
+    # Frank-Wolfe starts at one farthest point; with two, its first step
+    # lands on the midpoint of their dual points, the exact center of a
+    # symmetric segment, and the duality gap certifies it there
+    for generator in bc.Generator:
+        for a in A_VALUES:
+            cfg = bc.CaseConfig(a, generator)
+            F, C = cfg.legendre(), cfg.segment(SEGMENT_SAMPLES)
+            cert = bc.solve_fixed_point(F, C, tol=1e-4, polish=False)
+            if len(bc.solve_subgradient(F, C).farthest) == 2:
+                assert cert.iterations == 1, (generator, a)
+                assert bc.certify(F, C, cert.center, gap_tol=1e-12).valid, (generator, a)
+            else:
+                assert (generator, a) == (bc.Generator.ITAKURA_SAITO, 32.0)
+                assert cert.iterations > 1000
 
 
 def test_subgradient_euclidean_a8():
@@ -164,7 +183,8 @@ def test_certificate_weights_on_simplex():
 
 def test_nonconvergence_carries_certificate():
     F = bc.energy(2)
-    C = bc.make_segment(F, 4.0, 5)
+    # three farthest points, so five Frank-Wolfe steps certify nothing
+    C = bc.CompactSet.finite([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
     with pytest.raises(NonConvergence) as err:
         bc.solve_fixed_point(F, C, x0=np.array([0.0, 0.0]), tol=1e-15,
                              max_iter=5, polish=False)

@@ -100,7 +100,7 @@ def test_center_requires_set(capsys):
 
 def test_center_nonconvergence_exit_code(capsys):
     code, out, _ = run_cli(capsys, [
-        "center", "--gen", "energy", "--segment", "4", "--solver", "fixed",
+        "center", "--gen", "energy", "--points", "0,0;2,0;1,1.5", "--solver", "fixed",
         "--tol", "1e-15", "--max-iter", "5", "--no-polish", "--x0", "0,0",
     ])
     assert code == 3
@@ -324,12 +324,39 @@ def test_write_ppm_matches_reference(tmp_path, case):
     assert b"\x00\x00\x00" in want
 
 
-def _assert_same_rows(got, want):
-    assert [(theta, c) for theta, _, c in got] == [(theta, c) for theta, _, c in want]
-    for (_, p, _), (_, q, _) in zip(got, want):
-        assert (p is None) == (q is None)
-        if p is not None:
-            assert np.array_equal(p, q)
+EPS = np.finfo(float).eps
+
+
+def _sphere_generator(gen):
+    return {"energy": bc.energy(2), "quadratic": bc.quadratic(SPD_MATRIX),
+            "negentropy": bc.negentropy(2), "neglog": bc.neglog(2)}[gen]
+
+
+def _assert_rows_match_reference(F, z, r, got, want, scale=0.0):
+    """Rows of ``cli._sphere_rows`` against ``reference_sphere_rows``.
+
+    The thetas and crossings agree, and a row is nan where the reference's
+    is, or where the reference's point is off the sphere or outside U.  A
+    found point is at least as close to the sphere as the reference's, or
+    within 8 ulps of 1 + r + ``scale`` (the size of the terms D is
+    computed from), and lies on its dual ray.
+    """
+    assert [theta for theta, _, _ in got] == [theta for theta, _, _ in want]
+    gz = F.grad(z)
+    for (theta, p, crossing), (_, q, crossing_ref) in zip(got, want):
+        if p is None:
+            assert crossing == 0
+            assert (q is None or not F.in_interior(q)
+                    or abs(bc.distance(F, z, q) - r) > 1e-6 * (1.0 + r)), theta
+            continue
+        assert q is not None and crossing == crossing_ref == 1, theta
+        err = abs(bc.distance(F, z, p) - r)
+        assert err <= max(abs(bc.distance(F, z, q) - r), 8 * EPS * (1.0 + r + scale)), theta
+        step = F.grad(p) - gz
+        u = np.array([math.cos(theta), math.sin(theta)])
+        slack = 16 * EPS * (np.abs(gz).sum() + np.abs(F.grad(p)).sum())
+        assert abs(step[0] * u[1] - step[1] * u[0]) <= 1e-9 * np.linalg.norm(step) + slack, theta
+        assert step @ u >= -slack, theta
 
 
 SPHERE_CASES = [
@@ -351,14 +378,58 @@ SPHERE_CASES = [
 
 @pytest.mark.parametrize("gen,z,radius,res", SPHERE_CASES)
 def test_sphere_rows_match_per_ray_reference(gen, z, radius, res):
-    # No ray with more than one crossing turned up in a random search, so
-    # the crossing > 1 rows are covered here only by construction: the
-    # brackets of one ray are bisected and emitted exactly like single ones.
-    F = {"energy": bc.energy(2), "quadratic": bc.quadratic(SPD_MATRIX),
-         "negentropy": bc.negentropy(2), "neglog": bc.neglog(2)}[gen]
+    F = _sphere_generator(gen)
     z = np.array(z)
     got = cli._sphere_rows(F, z, radius, res)
     want = reference_sphere_rows(F, z, radius, res)
-    _assert_same_rows(got, want)
+    _assert_rows_match_reference(F, z, radius, got, want)
     if gen == "energy" and radius == 1e40:
         assert all(p is None for _, p, _ in got)
+
+
+def test_sphere_drops_points_that_leave_the_domain():
+    # at theta = pi, y = (exp(-t), 3) underflows to (0, 3) long before
+    # D(z, y) ~ t reaches r; the last point before that, (5e-324, 3), has
+    # D = 743, so these rays give nan rows
+    F = bc.negentropy(2)
+    z = np.array([1.0, 3.0])
+    rows = cli._sphere_rows(F, z, 1e40, 4)
+    assert [(theta, crossing) for theta, _, crossing in rows] == [
+        (0.0, 1), (0.5 * math.pi, 1), (math.pi, 0), (1.5 * math.pi, 0)]
+    for _, p, _ in rows[:2]:
+        assert F.in_interior(p)
+        # D is f(z) - f(y) - <grad f(y), z - y> with f(y) near 92 r
+        assert abs(bc.distance(F, z, p) - 1e40) <= 100 * EPS * 1e40
+
+
+def test_sphere_rows_random_sweep(monkeypatch):
+    # zero, tiny, moderate and unreachable radii around centers spread over
+    # six decades.  Every row matches the reference, and no sphere takes
+    # more than 100 distance batches: a ray whose |D - r| cannot fall below
+    # the rounding of D must stop there instead of shrinking t until the
+    # iteration cap (200 batches).
+    batches = []
+    real_distance = cli.distance
+
+    def counting(*args):
+        batches[-1] += 1
+        return real_distance(*args)
+
+    monkeypatch.setattr(cli, "distance", counting)
+    rng = np.random.default_rng(20)
+    gens = ["energy", "quadratic", "negentropy", "neglog"]
+    for i in range(120):
+        gen = gens[i % 4]
+        F = _sphere_generator(gen)
+        if gen in ("energy", "quadratic"):
+            z = rng.normal(0.0, 3.0, size=2) if i % 5 else np.zeros(2)
+        else:
+            z = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        radius = [0.0, 10.0 ** rng.uniform(-300.0, -6.0), 10.0 ** rng.uniform(-3.0, 3.0),
+                  1e40][(i // 4) % 4]
+        batches.append(0)
+        got = cli._sphere_rows(F, z, radius, 8)
+        assert batches[-1] <= 100, (gen, z, radius)
+        want = reference_sphere_rows(F, z, radius, 8)
+        scale = abs(F.f(z)) + abs(F.grad(z) @ z)
+        _assert_rows_match_reference(F, z, radius, got, want, scale)
