@@ -171,6 +171,8 @@ def cmd_colormap(args):
     F = _make_generator(args, 2)
     C = make_segment(F, args.segment, args.samples)
     region = args.region if args.region is not None else _default_region(args.segment)
+    if len(region) != 4 or not np.all(np.isfinite(region)):
+        raise DomainError("--region must be four finite numbers x0,y0,x1,y1")
     x0, y0, x1, y1 = region
     if not (x1 > x0 and y1 > y0):
         raise DomainError("degenerate region")
@@ -183,11 +185,15 @@ def cmd_colormap(args):
     out = Path(args.out)
     xs_txt = [_fmt(x) for x in xs.tolist()]
     ys_txt = [_fmt(y) for y in ys.tolist()]
-    # F_C is never -inf, so "{:.17g}" formats each value as _fmt does
-    lines = ["x,y,value"]
+    # one "%" template per grid row; F_C is never -inf, so "%.17g" formats
+    # each value as _fmt does
+    lines = ["x,y,value\n"]
+    cells = [None] * (2 * n)
+    cells[::2] = xs_txt
     for y_txt, row in zip(ys_txt, values.tolist()):
-        lines += map(f"{{}},{y_txt},{{:.17g}}".format, xs_txt, row)
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
+        cells[1::2] = row
+        lines.append((("%s," + y_txt + ",%.17g\n") * n) % tuple(cells))
+    out.write_text("".join(lines), encoding="ascii")
 
     if args.ppm:
         interior = F.in_interior(grid).reshape(n, n)

@@ -41,19 +41,89 @@ def farthest(F, C, x, tol=DEFAULT):
     return FarthestResult(value, pts[idx], idx.tolist())
 
 
+_LEAF_ROWS = 1024
+_CHUNK_CELLS = 2**19
+
+
 def farthest_values(F, C, X):
     """F_C over a batch of query points; +inf rows for points outside dom f.
 
-    The rows of X go through ``distance_matrix`` in blocks of about 2**19
-    cells, so memory stays bounded however many query points there are.
+    F_C(x) = f(x) + max_c h_c(x) with h_c(x) = K_c - <G_c, x>,
+    G_c = grad f(c) and K_c = <G_c, c> - f(c): f plus an upper envelope of
+    affine functions.  So a sample can be dropped from a whole box of query
+    points once one affine bound shows it is beaten everywhere there.
+
+    The rows in dom f are split by a box tree.  At a box with center m and
+    half-widths r, each of the four samples with the largest h(m) is a
+    dominator w, and a sample c is dropped when, for some w,
+
+        (h_w(m) - h_c(m)) - <|G_w - G_c|, r>  >  2 noise,
+        noise = 4 (J + 2) eps (max|f(X)| + max|x|_inf max_c |G_c|_1 + max|K|),
+
+    where noise bounds the rounding of one computed distance (a dot
+    product of length J) and of the bound itself.  A bound or noise that
+    is not finite drops nothing.  The box's two best samples are always
+    kept, and a box with one row is not pruned: numpy sends a product with
+    one column or one row to gemv, which rounds differently from gemm.  A
+    box with at most 2 samples or at most 1024 rows is a leaf; its rows go
+    through ``distance_matrix`` in chunks of at most about 2**19 cells and
+    at least two rows, so memory stays bounded.  Otherwise the box is
+    split at the midpoint of its widest side.
+
+    A dropped sample never beats a kept one in computed arithmetic.  So for
+    J = 2, when at least two rows lie in dom f, each value is the same
+    float as the row max of one ``distance_matrix`` over all rows and
+    samples.  For J >= 3 gemm's blocking depends on the product's shape, so
+    a finite value may differ from that row max by a few ulps (the tests
+    allow 4 ulps relative); the +inf rows are the same.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     pts = C.enumerate()
-    step = max(1, 2**19 // len(pts))
-    out = np.empty(len(X))
-    for lo in range(0, len(X), step):
-        out[lo:lo + step] = np.max(distance_matrix(F, X[lo:lo + step], pts), axis=1)
+    out = np.full(len(X), np.inf)
+    fX = np.atleast_1d(F.f(X))
+    finite = np.flatnonzero(np.isfinite(fX))
+    if len(finite) == 0:
+        return out
+    G = F.grad(pts)
+    K = np.sum(G * pts, axis=-1) - F.f(pts)
+    # one contiguous row per coordinate (``compress`` keeps it so): numpy
+    # reduces a row about 100 times faster than a column of an (n, J) array
+    coords = X[finite].T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (np.abs(fX[finite]).max() + np.abs(coords).max() * np.abs(G).sum(axis=1).max()
+                 + np.abs(K).max())
+    noise = 4 * (X.shape[1] + 2) * np.finfo(float).eps * scale
+    nodes = [(finite, coords, np.arange(len(pts)))]
+    while nodes:
+        rows, coords, cand = nodes.pop()
+        lo, hi = coords.min(axis=1), coords.max(axis=1)
+        if len(cand) > 2 and len(rows) > 1:
+            cand = _prune(G, K, cand, lo / 2 + hi / 2, hi / 2 - lo / 2, noise)
+        if len(cand) > 2 and len(rows) > _LEAF_ROWS:
+            k = np.argmax(hi - lo)
+            left = coords[k] <= lo[k] / 2 + hi[k] / 2
+            n_left = np.count_nonzero(left)
+            if 2 <= n_left <= len(rows) - 2:
+                right = ~left
+                nodes += [(rows[left], coords.compress(left, axis=1), cand),
+                          (rows[right], coords.compress(right, axis=1), cand)]
+                continue
+        n_chunks = max(1, min(-(-len(rows) * len(cand) // _CHUNK_CELLS), len(rows) // 2))
+        for chunk in np.array_split(rows, n_chunks):
+            out[chunk] = np.max(distance_matrix(F, X[chunk], pts[cand]), axis=1)
     return out
+
+
+def _prune(G, K, cand, m, r, noise):
+    """The candidates that may still be farthest somewhere in the box m +- r."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = K[cand] - G[cand] @ m
+        best = np.argsort(-h)
+        w = best[:4]
+        bound = (h[w, None] - h[None, :]) - np.abs(G[cand[w], None, :] - G[None, cand, :]) @ r
+        keep = ~np.any(np.isfinite(bound) & (bound > 2 * noise), axis=0)
+    keep[best[:2]] = True
+    return cand[keep]
 
 
 def directional_derivative(F, C, x, h, tol=DEFAULT):

@@ -195,6 +195,18 @@ def test_colormap_rejects_degenerate_region(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("region", ["0,0,inf,10", "0,nan,10,10", "0,0,10", "0,0,10,10,1"])
+def test_colormap_region_needs_four_finite_numbers(tmp_path, capsys, region):
+    out = tmp_path / "map.csv"
+    code, _, err = run_cli(capsys, [
+        "colormap", "--gen", "energy", "--segment", "4",
+        "--region=" + region, "--res", "3", "--out", str(out),
+    ])
+    assert code == 2
+    assert "--region must be four finite numbers" in err
+    assert not out.exists()
+
+
 def test_sphere_energy_circle(tmp_path):
     out = tmp_path / "circle.csv"
     assert cli.main([

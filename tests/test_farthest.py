@@ -1,12 +1,15 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import bregcheb as bc
+from bregcheb import bregman
 from bregcheb.errors import DomainError
 
-from helpers import all_generators, orthant_domain, random_finite_set, sample_interior
+from helpers import (all_generators, domain_box, orthant_domain, random_finite_set,
+                     random_generator, sample_interior)
 
 
 @pytest.fixture
@@ -223,3 +226,158 @@ def test_farthest_values_blocks_match_one_matrix(F):
     if orthant_domain(F):
         assert np.isinf(got).sum() > 100    # rows outside dom f
         assert np.array_equal(np.isinf(got), ~F.in_domain(X))
+
+
+def _grid(region, n):
+    xs = np.linspace(region[0], region[2], n)
+    ys = np.linspace(region[1], region[3], n)
+    return np.column_stack([a.ravel() for a in np.meshgrid(xs, ys)])
+
+
+def _full_max(F, C, X):
+    return np.max(bc.distance_matrix(F, X, C.enumerate()), axis=1)
+
+
+_SWEEP_REGIONS = [
+    (0.0, 0.0, 50.0, 50.0),         # negentropy: every sample ties at (0, 0)
+    (-1.0, -2.0, 3.0, 4.0),         # partly outside the orthant
+    (0.0, 0.0, 10.0, 10.0),
+    (1.2, 0.8, 46.2, 45.8),
+    (-5.0, -5.0, 5.0, 5.0),
+    (30.0, 0.0, 80.0, 50.0),
+    (2.0, 2.0, 2.001, 2.001),
+    (0.001, 0.5, 0.002, 60.0),
+]
+
+
+@pytest.mark.parametrize("gen", ["energy", "negentropy", "neglog"])
+def test_farthest_values_grids_match_one_matrix(gen):
+    # J = 2: pruning drops only samples that cannot be the computed max, and
+    # every leaf product is a gemm with at least two rows and two columns,
+    # so each value is the same float as the full row max
+    F = getattr(bc, gen)(2)
+    for a in (4.0, 8.0, 32.0):
+        for samples in (3, 21, 101):
+            C = bc.make_segment(F, a, samples)
+            for region in _SWEEP_REGIONS:
+                for n in (2, 16, 40):
+                    X = _grid(region, n)
+                    assert np.array_equal(bc.farthest_values(F, C, X), _full_max(F, C, X)), \
+                        (a, samples, region, n)
+
+
+@pytest.mark.parametrize("gen, region, samples", [
+    ("negentropy", (0.0, 0.0, 50.0, 50.0), 101),
+    ("neglog", (-1.0, -2.0, 3.0, 4.0), 5),
+    ("neglog", (-1.0, -2.0, 3.0, 4.0), 21),
+    ("neglog", (1.2, 0.8, 46.2, 45.8), 101),
+])
+def test_farthest_values_full_size_grids_match_one_matrix(gen, region, samples):
+    F = getattr(bc, gen)(2)
+    C = bc.make_segment(F, 32.0, samples)
+    X = _grid(region, 256)
+    assert np.array_equal(bc.farthest_values(F, C, X), _full_max(F, C, X))
+
+
+@pytest.mark.parametrize("J", [3, 5, 8, 20])
+@pytest.mark.parametrize("kind", ["energy", "quadratic", "negentropy", "neglog"])
+def test_farthest_values_higher_dimensions_within_4_ulps(J, kind):
+    # for J >= 3 gemm's blocking depends on the product's shape, so a pruned
+    # leaf may round a value differently by a few ulps
+    rng = np.random.default_rng(1000 * J + len(kind))
+    F = random_generator(kind, J, rng)
+    C = random_finite_set(F, rng, n_points=40, spread=1.0)
+    lo, hi = domain_box(kind)
+    X = rng.uniform(lo, hi, size=(1500, J))
+    X[::7] -= 5.0                   # some rows outside an orthant domain
+    got = bc.farthest_values(F, C, X)
+    want = _full_max(F, C, X)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    ok = np.isfinite(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 4 * np.finfo(float).eps * np.abs(want[ok]))
+
+
+def test_farthest_values_edge_cases():
+    rng = np.random.default_rng(3)
+    for F in all_generators():
+        C = bc.make_segment(F, 32.0, 101)
+        for x in sample_interior(F, rng, 40):
+            one = x[None, :]                # one query row: a gemv on both sides
+            assert np.array_equal(bc.farthest_values(F, C, one), _full_max(F, C, one))
+        single = bc.CompactSet.finite([[1.5, 2.5]])
+        X = _grid((0.5, 0.5, 40.0, 40.0), 40)
+        assert np.array_equal(bc.farthest_values(F, single, X), _full_max(F, single, X))
+        P = C.enumerate()
+        dup = bc.CompactSet.finite(rng.permutation(np.vstack([P, P[::3], P[:1]])))
+        assert np.array_equal(bc.farthest_values(F, dup, X), _full_max(F, dup, X))
+        if orthant_domain(F):
+            outside = _grid((-3.0, -3.0, -1.0, 5.0), 40)
+            assert np.all(bc.farthest_values(F, C, outside) == np.inf)
+
+
+def test_farthest_values_near_duplicate_points():
+    # clusters of points a few ulps apart: a sample is dropped only when it
+    # loses by more than the rounding of the computed distances
+    rng = np.random.default_rng(0)
+    X = _grid((0.5, 0.5, 40.0, 40.0), 40)
+    for _ in range(20):
+        for F in (bc.energy(2), bc.negentropy(2), bc.neglog(2)):
+            base = np.repeat(rng.uniform(0.5, 20.0, size=(4, 2)), 8, axis=0)
+            P = base * (1.0 + rng.integers(-4, 5, size=base.shape) * np.finfo(float).eps)
+            C = bc.CompactSet.finite(P)
+            assert np.array_equal(bc.farthest_values(F, C, X), _full_max(F, C, X))
+
+
+def test_farthest_values_points_on_a_circle():
+    # under energy every point of a circle is farthest from some query point
+    F = bc.energy(2)
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    C = bc.CompactSet.finite(5.0 * np.column_stack([np.cos(theta), np.sin(theta)]))
+    X = _grid((-20.0, -20.0, 20.0, 20.0), 64)
+    D = bc.distance_matrix(F, X, C.enumerate())
+    assert len(np.unique(np.argmax(D, axis=1))) == 64
+    assert np.array_equal(bc.farthest_values(F, C, X), np.max(D, axis=1))
+
+
+@pytest.fixture
+def scored_cells(monkeypatch):
+    """Cell counts of the ``distance_matrix`` calls ``farthest_values`` makes."""
+    module = importlib.import_module("bregcheb.farthest")
+    cells = []
+
+    def counting(F, X, C):
+        cells.append(len(X) * len(C))
+        return bregman.distance_matrix(F, X, C)
+
+    monkeypatch.setattr(module, "distance_matrix", counting)
+    return cells
+
+
+@pytest.mark.parametrize("gen", ["energy", "negentropy", "neglog"])
+def test_farthest_values_huge_regions(gen, scored_cells):
+    F = getattr(bc, gen)(2)
+    C = bc.make_segment(F, 32.0, 21)
+    for region, pruned in (((1e307, 1e307, 1e308, 1e308), True),
+                           # max|x| max|G|_1 overflows: the rounding bound is
+                           # inf and nothing is dropped
+                           ((1e308, 1e308, 1.75e308, 1.75e308), False)):
+        X = _grid(region, 40)
+        scored_cells.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = bc.farthest_values(F, C, X)
+            want = _full_max(F, C, X)
+        assert np.array_equal(got, want)
+        if gen == "neglog":
+            assert np.any(np.isfinite(got))
+            assert (sum(scored_cells) < len(X) * 21) == pruned
+        else:               # f overflows, so every row is +inf
+            assert np.all(got == np.inf) and not scored_cells
+
+
+def test_farthest_values_scores_few_cells(scored_cells):
+    # the bench-size neglog map: 6.62M cells without pruning
+    F = bc.neglog(2)
+    C = bc.make_segment(F, 32.0, 101)
+    X = _grid((1.2, 0.8, 46.2, 45.8), 256)
+    bc.farthest_values(F, C, X)
+    assert 0 < sum(scored_cells) < 0.05 * len(X) * 101
