@@ -7,6 +7,7 @@ the second (right) slot.
 """
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,18 +31,37 @@ def distance(F, x, y):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def distance_matrix(F, X, C):
-    """All pairwise distances D(X[i], C[j]) as an (n, m) array.
+class DualData(NamedTuple):
+    """A set's dual form under one generator: G = grad f(C) and
+    K_c = <G_c, c> - f(c), so that D(x, c) = f(x) + K_c - <G_c, x>."""
 
-    Every row of ``C`` must lie in U.  Rows of ``X`` outside dom f yield
-    +inf rows.  Uses the affine decomposition D(x, c) = f(x) - <grad f(c), x>
-    + (<grad f(c), c> - f(c)) so the sweep is a single matrix product.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    G: np.ndarray
+    K: np.ndarray
+
+
+def dual_data(F, C):
+    """The ``DualData`` of the points C (rows in U), as read-only arrays."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     G = F.grad(C)
     K = np.sum(G * C, axis=-1) - F.f(C)
-    fX = np.atleast_1d(F.f(X))
+    G.setflags(write=False)
+    K.setflags(write=False)
+    return DualData(G, K)
+
+
+def distance_matrix(F, X, C, fX=None):
+    """All pairwise distances D(X[i], C[j]) as an (n, m) array.
+
+    ``C`` is the points, every row in U, or their ``DualData`` (a
+    ``CompactSet`` caches its own); ``fX``, when given, is f(X).  Rows of
+    ``X`` outside dom f yield +inf rows.  Uses the affine decomposition
+    D(x, c) = f(x) - <G_c, x> + K_c so the sweep is a single matrix
+    product.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    G, K = C if isinstance(C, DualData) else dual_data(F, C)
+    if fX is None:
+        fX = np.atleast_1d(F.f(X))
     out = fX[:, None] - X @ G.T + K[None, :]
     out[~np.isfinite(fX)] = np.inf
     return out

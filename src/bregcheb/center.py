@@ -105,14 +105,7 @@ def default_start(F, C):
 
     Always lies in U, and is symmetric for symmetric inputs.
     """
-    G = F.grad(C.enumerate())
-    return F.grad_star(G.mean(axis=0))
-
-
-def _dual_data(F, pts):
-    """G = grad f(C) and K_c = <G_c, c> - f(c): D(z, c) = f(z) + K_c - <G_c, z>."""
-    G = F.grad(pts)
-    return G, np.sum(G * pts, axis=-1) - F.f(pts)
+    return F.grad_star(C.dual_data(F).G.mean(axis=0))
 
 
 def _exact_center(F, C, x, max_steps=None):
@@ -124,10 +117,9 @@ def _exact_center(F, C, x, max_steps=None):
     cap) ran out first, and z is then the last iterate, whose dual value is
     the best seen.
     """
-    pts = C.enumerate()
-    G, K = _dual_data(F, pts)
+    G, K = C.dual_data(F)
     first = int(np.argmax(K - G @ x))
-    order = np.arange(len(pts))
+    order = np.arange(len(K))
     order[[0, first]] = order[[first, 0]]
     mu_order, steps, done = _dual_argmin(F, G[order], K[order], max_steps)
     mu = np.empty_like(mu_order)
@@ -170,7 +162,7 @@ def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
     it the bare iterate is certified.
     """
     x0 = _start(F, C, x0)
-    G, K = _dual_data(F, C.enumerate())
+    G, K = C.dual_data(F)
     q = int((K - G @ x0).argmax())
     # y = G^T mu and muK = <mu, K> for the Frank-Wolfe weights mu
     y, muK = G[q].copy(), K[q]
@@ -236,7 +228,7 @@ def dual_hull_projection(F, C, x, membership_tol=1e-9):
     x = np.asarray(x, dtype=float)
     if not F.in_interior(x):
         raise DomainError("x must lie in the interior of dom f")
-    W = F.grad(C.enumerate())
+    W = C.dual_data(F).G
     gx = F.grad(x)
     mu = dual_argmin(F, W, W @ x)
     s = W.T @ mu

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 
+from .bregman import dual_data
 from .errors import DomainError
 
 
@@ -16,9 +17,17 @@ class SetKind(enum.Enum):
 class CompactSet:
     """A finite point set, or a segment sampled at equally spaced parameters.
 
-    A segment stores its two endpoints and a sample count; ``enumerate``
-    materializes the samples with the endpoints always included.  Instances
-    are immutable.
+    A segment stores its two endpoints and a sample count, and materializes
+    its samples once, with the endpoints always included; ``enumerate``
+    returns that read-only array.
+
+    ``dual_data(F)`` caches the set's dual form under the last generator
+    asked about: the read-only arrays G = grad f(C) and
+    K_c = <G_c, c> - f(c), so a farthest query costs one small product.
+    Instances are immutable: points, samples and every cached array never
+    change, and the cache is a pure function of the set and the generator,
+    so it changes no answer.  It is replaced by one attribute assignment,
+    so two threads that race on it only compute the same value twice.
     """
 
     def __init__(self, kind, points, samples=None):
@@ -42,6 +51,13 @@ class CompactSet:
         self.kind = kind
         self.points = points
         self.samples = samples
+        if kind is SetKind.SEGMENT:
+            lam = np.linspace(0.0, 1.0, samples)[:, None]
+            self._enumerated = (1.0 - lam) * points[0] + lam * points[1]
+            self._enumerated.setflags(write=False)
+        else:
+            self._enumerated = points
+        self._dual = None
 
     @classmethod
     def finite(cls, points):
@@ -57,10 +73,17 @@ class CompactSet:
         Finite sets keep insertion order; segments are listed by increasing
         parameter from the first endpoint to the second.
         """
-        if self.kind is SetKind.FINITE:
-            return self.points
-        lam = np.linspace(0.0, 1.0, self.samples)[:, None]
-        return (1.0 - lam) * self.points[0] + lam * self.points[1]
+        return self._enumerated
+
+    def dual_data(self, F):
+        """``bregman.dual_data`` of the enumerated points under F, computed
+        once and reused while later calls pass F again or a generator
+        ``==`` to it."""
+        cached = self._dual
+        if cached is None or not (cached[0] is F or cached[0] == F):
+            cached = (F, dual_data(F, self._enumerated))
+            self._dual = cached
+        return cached[1]
 
     def __len__(self):
         return self.samples if self.kind is SetKind.SEGMENT else self.points.shape[0]

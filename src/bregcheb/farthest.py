@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bregman import distance_matrix
+from .bregman import DualData, distance_matrix
 from .errors import DomainError
 from .tolerances import DEFAULT
 
@@ -29,12 +29,13 @@ class FarthestResult:
 
 
 def farthest(F, C, x, tol=DEFAULT):
-    """Evaluate F_C(x) and Q_C(x) over the enumerated points of C."""
+    """Evaluate F_C(x) and Q_C(x) over the enumerated points of C, from
+    the set's cached dual form."""
     x = np.asarray(x, dtype=float)
     pts = C.enumerate()
     if not F.in_domain(x):
         return FarthestResult(np.inf, np.empty((0, F.dimension)), [])
-    vals = distance_matrix(F, x[None, :], pts)[0]
+    vals = distance_matrix(F, x[None, :], C.dual_data(F))[0]
     value = float(np.max(vals))
     cut = value * (1.0 - tol.argmax_rel) - tol.argmax_abs
     idx = np.nonzero(vals >= cut)[0]
@@ -68,7 +69,8 @@ def farthest_values(F, C, X):
     box with at most 2 samples or at most 1024 rows is a leaf; its rows go
     through ``distance_matrix`` in chunks of at most about 2**19 cells and
     at least two rows, so memory stays bounded.  Otherwise the box is
-    split at the midpoint of its widest side.
+    split at the midpoint of its widest side.  G and K come from the set's
+    cached dual form, and the leaves reuse the f(X) computed up front.
 
     A dropped sample never beats a kept one in computed arithmetic.  So for
     J = 2, when at least two rows lie in dom f, each value is the same
@@ -78,14 +80,12 @@ def farthest_values(F, C, X):
     allow 4 ulps relative); the +inf rows are the same.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    pts = C.enumerate()
     out = np.full(len(X), np.inf)
     fX = np.atleast_1d(F.f(X))
     finite = np.flatnonzero(np.isfinite(fX))
     if len(finite) == 0:
         return out
-    G = F.grad(pts)
-    K = np.sum(G * pts, axis=-1) - F.f(pts)
+    G, K = C.dual_data(F)
     # one contiguous row per coordinate (``compress`` keeps it so): numpy
     # reduces a row about 100 times faster than a column of an (n, J) array
     coords = X[finite].T.copy()
@@ -93,7 +93,7 @@ def farthest_values(F, C, X):
         scale = (np.abs(fX[finite]).max() + np.abs(coords).max() * np.abs(G).sum(axis=1).max()
                  + np.abs(K).max())
     noise = 4 * (X.shape[1] + 2) * np.finfo(float).eps * scale
-    nodes = [(finite, coords, np.arange(len(pts)))]
+    nodes = [(finite, coords, np.arange(len(K)))]
     while nodes:
         rows, coords, cand = nodes.pop()
         lo, hi = coords.min(axis=1), coords.max(axis=1)
@@ -109,8 +109,9 @@ def farthest_values(F, C, X):
                           (rows[right], coords.compress(right, axis=1), cand)]
                 continue
         n_chunks = max(1, min(-(-len(rows) * len(cand) // _CHUNK_CELLS), len(rows) // 2))
+        dual = DualData(G[cand], K[cand])
         for chunk in np.array_split(rows, n_chunks):
-            out[chunk] = np.max(distance_matrix(F, X[chunk], pts[cand]), axis=1)
+            out[chunk] = np.max(distance_matrix(F, X[chunk], dual, fX=fX[chunk]), axis=1)
     return out
 
 

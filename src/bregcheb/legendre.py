@@ -32,6 +32,34 @@ class Kind(enum.Enum):
 _SYM_RTOL = 1e-12
 
 
+# Largest J whose rows are reduced column by column.  numpy's row sum adds
+# left to right from 0.0 up to J = 7 and pairwise (unrolled by 8) from J = 8,
+# so up to 7 the column loop gives the same floats.  It is much faster on
+# batches of short rows, whose axis-wide reduction is slow; on one row it
+# stops paying beyond J = 4.
+_COLUMN_J = 4
+
+
+def _row_sum(v):
+    """``np.sum(v, axis=-1)``, bit for bit."""
+    if v.shape[-1] > _COLUMN_J:
+        return np.sum(v, axis=-1)
+    s = 0.0 + v[..., 0]
+    for j in range(1, v.shape[-1]):
+        s = s + v[..., j]
+    return s
+
+
+def _row_all(b):
+    """``np.all(b, axis=-1)`` for a boolean array."""
+    if b.shape[-1] > _COLUMN_J:
+        return np.all(b, axis=-1)
+    s = b[..., 0]
+    for j in range(1, b.shape[-1]):
+        s = s & b[..., j]
+    return s
+
+
 def _xlogx(x):
     """Elementwise x*log(x) with the 0*log(0) = 0 convention (x >= 0)."""
     out = np.zeros_like(x, dtype=float)
@@ -105,9 +133,9 @@ class LegendreFunction:
         if self.kind in (Kind.ENERGY, Kind.QUADRATIC):
             res = np.ones(x.shape[:-1], dtype=bool)
         elif self.kind is Kind.NEG_ENTROPY:
-            res = np.all(x >= 0.0, axis=-1)
+            res = _row_all(x >= 0.0)
         else:
-            res = np.all(x > 0.0, axis=-1)
+            res = _row_all(x > 0.0)
         return bool(res) if res.ndim == 0 else res
 
     def in_interior(self, x):
@@ -116,14 +144,14 @@ class LegendreFunction:
         if self.kind in (Kind.ENERGY, Kind.QUADRATIC):
             res = np.ones(x.shape[:-1], dtype=bool)
         else:
-            res = np.all(x > 0.0, axis=-1)
+            res = _row_all(x > 0.0)
         return bool(res) if res.ndim == 0 else res
 
     def in_dual_interior(self, y):
         """Membership in int dom f*, the range of the gradient map."""
         y = self._check_dim(y)
         if self.kind is Kind.NEG_LOG:
-            res = np.all(y < 0.0, axis=-1)
+            res = _row_all(y < 0.0)
         else:
             res = np.ones(y.shape[:-1], dtype=bool)
         return bool(res) if res.ndim == 0 else res
@@ -139,19 +167,19 @@ class LegendreFunction:
         """Value of the generator, +inf outside dom f."""
         x = self._check_dim(x)
         if self.kind is Kind.ENERGY:
-            val = 0.5 * np.sum(x * x, axis=-1)
+            val = 0.5 * _row_sum(x * x)
         elif self.kind is Kind.QUADRATIC:
-            val = 0.5 * np.sum(x * (x @ self.quad_matrix), axis=-1)
+            val = 0.5 * _row_sum(x * (x @ self.quad_matrix))
         elif self.kind is Kind.NEG_ENTROPY:
             val = np.where(
-                np.all(x >= 0.0, axis=-1),
-                np.sum(_xlogx(np.maximum(x, 0.0)) - x, axis=-1),
+                _row_all(x >= 0.0),
+                _row_sum(_xlogx(np.maximum(x, 0.0)) - x),
                 np.inf,
             )
         else:
-            safe = np.all(x > 0.0, axis=-1)
+            safe = _row_all(x > 0.0)
             logs = np.log(np.where(x > 0.0, x, 1.0))
-            val = np.where(safe, -np.sum(logs, axis=-1), np.inf)
+            val = np.where(safe, -_row_sum(logs), np.inf)
         return float(val) if val.ndim == 0 else val
 
     def grad(self, x):
@@ -172,15 +200,15 @@ class LegendreFunction:
         """Value of the conjugate f*, +inf outside dom f*."""
         y = self._check_dim(y)
         if self.kind is Kind.ENERGY:
-            val = 0.5 * np.sum(y * y, axis=-1)
+            val = 0.5 * _row_sum(y * y)
         elif self.kind is Kind.QUADRATIC:
-            val = 0.5 * np.sum(y * (y @ self._inv), axis=-1)
+            val = 0.5 * _row_sum(y * (y @ self._inv))
         elif self.kind is Kind.NEG_ENTROPY:
-            val = np.sum(np.exp(y), axis=-1)
+            val = _row_sum(np.exp(y))
         else:
-            safe = np.all(y < 0.0, axis=-1)
+            safe = _row_all(y < 0.0)
             logs = np.log(np.where(y < 0.0, -y, 1.0))
-            val = np.where(safe, np.sum(-1.0 - logs, axis=-1), np.inf)
+            val = np.where(safe, _row_sum(-1.0 - logs), np.inf)
         return float(val) if val.ndim == 0 else val
 
     def grad_star(self, y):

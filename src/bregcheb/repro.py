@@ -40,7 +40,7 @@ class CheckOutcome:
 def _solve_both(F, C):
     # stop the averaging once its dual step is ~1/20000 of the dual spread;
     # the closing refinement takes it from there
-    G = F.grad(C.enumerate())
+    G = C.dual_data(F).G
     spread = float(np.linalg.norm(G - G.mean(axis=0), axis=1).max())
     tol = max(1e-4, 2.0 * spread / 20_000.0)
     cert_fp = solve_fixed_point(F, C, tol=tol, max_iter=100_000)

@@ -102,3 +102,31 @@ def test_refinement_gap_small_at_high_resolution(generator, a):
     v2 = bc.farthest_values(F, C2, queries)
     assert np.all(v2 >= v1 - 1e-15)
     assert np.max(v2 - v1) <= 1e-6
+
+
+def test_segment_enumerate_matches_linspace_formula():
+    rng = np.random.default_rng(11)
+    segments = [bc.make_segment(bc.neglog(2), a, s) for a in (4.0, 17.63, 32.0)
+                for s in (3, 41, 101)]
+    segments += [bc.CompactSet.segment(*rng.uniform(-5.0, 5.0, size=(2, J)), s)
+                 for J in (1, 3, 8) for s in (2, 7, 1001)]
+    segments += [seg.refined() for seg in segments]
+    segments += [bc.CompactSet.from_json(seg.to_json()) for seg in segments]
+    for seg in segments:
+        lam = np.linspace(0.0, 1.0, seg.samples)[:, None]
+        want = (1.0 - lam) * seg.points[0] + lam * seg.points[1]
+        got = seg.enumerate()
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert seg.enumerate() is got
+
+
+@pytest.mark.parametrize("F", all_generators(), ids=lambda F: F.kind.value)
+def test_enumerated_points_and_dual_form_are_read_only(F):
+    sets = [bc.make_segment(F, 4.0, 9), bc.CompactSet.finite([[1.0, 2.0], [2.0, 0.5]])]
+    for C in sets:
+        G, K = C.dual_data(F)
+        for arr in (C.enumerate(), G, K):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert C.dual_data(F) is C.dual_data(F)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -345,9 +346,9 @@ def scored_cells(monkeypatch):
     module = importlib.import_module("bregcheb.farthest")
     cells = []
 
-    def counting(F, X, C):
-        cells.append(len(X) * len(C))
-        return bregman.distance_matrix(F, X, C)
+    def counting(F, X, C, fX=None):
+        cells.append(len(X) * len(C.K))
+        return bregman.distance_matrix(F, X, C, fX=fX)
 
     monkeypatch.setattr(module, "distance_matrix", counting)
     return cells
@@ -381,3 +382,114 @@ def test_farthest_values_scores_few_cells(scored_cells):
     X = _grid((1.2, 0.8, 46.2, 45.8), 256)
     bc.farthest_values(F, C, X)
     assert 0 < sum(scored_cells) < 0.05 * len(X) * 101
+
+
+def _one_row(F, x, pts):
+    """One ``distance_matrix`` row of a single query, written out."""
+    X = x[None, :]
+    G = F.grad(pts)
+    K = np.sum(G * pts, axis=-1) - F.f(pts)
+    fX = np.atleast_1d(F.f(X))
+    row = fX[:, None] - X @ G.T + K[None, :]
+    row[~np.isfinite(fX)] = np.inf
+    return row[0]
+
+
+def _query_generators(J, rng):
+    A, B = rng.normal(size=(2, J, J))
+    return [bc.energy(J), bc.quadratic(A @ A.T + 0.3 * np.eye(J)),
+            bc.quadratic(B @ B.T / J + np.eye(J)), bc.negentropy(J), bc.neglog(J)]
+
+
+@pytest.mark.parametrize("J", [2, 3, 8, 20])
+def test_farthest_is_one_distance_matrix_row(J):
+    rng = np.random.default_rng(J)
+    tol = bc.DEFAULT
+    for F in _query_generators(J, rng):
+        lo, hi = domain_box(F.kind.value)
+        for m in (1, 2, 7, 41):
+            P = rng.uniform(lo, hi, size=(m, J))
+            if m > 2:
+                P[m - 1] = P[0]
+            C = bc.CompactSet.finite(P)
+            X = rng.uniform(lo - 1.0, hi + 1.0, size=(30, J))
+            if orthant_domain(F):
+                X[:10, 0] = -X[:10, 0]          # outside dom f
+            for x in X:
+                row = _one_row(F, x, P)
+                res = bc.farthest(F, C, x)
+                assert res.value == np.max(row)
+                if not F.in_domain(x):
+                    assert res.value == np.inf and res.witness_indices == []
+                    continue
+                cut = res.value * (1.0 - tol.argmax_rel) - tol.argmax_abs
+                idx = np.nonzero(row >= cut)[0].tolist()
+                assert res.witness_indices == idx
+                assert np.array_equal(res.argmax, P[idx])
+            # the cache holds this generator's dual form
+            assert np.array_equal(C.dual_data(F).G, F.grad(P))
+
+
+def test_farthest_alternating_generators_on_one_set():
+    rng = np.random.default_rng(5)
+    J = 3
+    F1, F2 = _query_generators(J, rng)[1:3]
+    P = rng.uniform(-3.0, 3.0, size=(12, J))
+    C = bc.CompactSet.finite(P)
+    X = rng.uniform(-4.0, 4.0, size=(20, J))
+    # an equal generator built separately reuses the cached form
+    F1_copy = bc.quadratic(F1.quad_matrix)
+    for x in X:
+        for F in (F1, F2, F1_copy, bc.energy(J)):
+            fresh = bc.farthest(F, bc.CompactSet.finite(P), x)
+            res = bc.farthest(F, C, x)
+            assert res.value == fresh.value
+            assert res.witness_indices == fresh.witness_indices
+    G1 = C.dual_data(F1).G
+    assert C.dual_data(F1_copy).G is G1
+    assert not np.array_equal(C.dual_data(F2).G, G1)
+
+
+def test_farthest_computes_the_dual_form_once(monkeypatch):
+    F = bc.neglog(2)
+    C = bc.make_segment(F, 8.0, 41)
+    pts = C.enumerate()
+    shapes = []
+    grad = F.grad
+
+    def counting(x):
+        shapes.append(np.shape(x))
+        return grad(x)
+
+    monkeypatch.setattr(F, "grad", counting)
+    X = np.random.default_rng(3).uniform(0.5, 9.0, size=(400, 2))
+    values = [bc.farthest(F, C, x).value for x in X]
+    assert shapes == [pts.shape]
+    assert np.array_equal(values, [np.max(_one_row(F, x, pts)) for x in X])
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` through every ``bregcheb`` binding of it, the
+    way the benchmark's tracer wraps the library's public functions."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bregcheb" or name.startswith("bregcheb."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_farthest_and_certify_reach_distance_matrix(monkeypatch):
+    calls = _count_calls(monkeypatch, bregman.distance_matrix)
+    F = bc.negentropy(2)
+    C = bc.make_segment(F, 4.0, 9)
+    bc.farthest(F, C, [1.0, 2.0])
+    assert len(calls) == 1
+    bc.certify(F, C, bc.default_start(F, C))
+    assert len(calls) == 2

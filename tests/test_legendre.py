@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bregcheb as bc
+from bregcheb import legendre
 from bregcheb.errors import DomainError
 
 from helpers import SPD_MATRIX, all_generators, sample_interior
@@ -143,3 +144,43 @@ def test_second_arg_convex_flag():
     flags = {F.kind: F.second_arg_convex for F in all_generators()}
     assert flags[bc.Kind.ENERGY] and flags[bc.Kind.QUADRATIC] and flags[bc.Kind.NEG_ENTROPY]
     assert not flags[bc.Kind.NEG_LOG]
+
+
+@pytest.mark.parametrize("column_j", [legendre._COLUMN_J, 7])
+def test_row_reductions_match_numpy_bit_for_bit(monkeypatch, column_j):
+    monkeypatch.setattr(legendre, "_COLUMN_J", column_j)
+    rng = np.random.default_rng(column_j)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324]
+    for J in range(1, 11):
+        for shape in ((J,), (1, J), (2, J), (5000, J), (3, 4, J)):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+            mask = rng.uniform(size=shape) < 0.05
+            v[mask] = rng.choice(special, size=mask.sum())
+            if len(shape) == 2 and shape[0] > 2:
+                v[0] = -0.0                     # a row of negative zeros
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = legendre._row_sum(v), np.sum(v, axis=-1)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            b = v > 0.0
+            assert np.array_equal(legendre._row_all(b), np.all(b, axis=-1))
+
+
+@pytest.mark.parametrize("column_j", [legendre._COLUMN_J, 7])
+def test_generator_values_do_not_depend_on_the_reduction(monkeypatch, column_j):
+    rng = np.random.default_rng(3)
+    for J in (1, 2, 3, 5, 7):
+        X = rng.uniform(-0.5, 3.0, size=(200, J))
+        X[:5] = 0.0
+        A = rng.normal(size=(J, J))
+        for F in (bc.energy(J), bc.quadratic(A @ A.T + np.eye(J)), bc.negentropy(J),
+                  bc.neglog(J)):
+            monkeypatch.setattr(legendre, "_COLUMN_J", 0)
+            want = [F.f(X), F.fstar(-X - 0.1), F.in_domain(X), F.in_interior(X),
+                    F.in_dual_interior(-X), F.f(X[7])]
+            monkeypatch.setattr(legendre, "_COLUMN_J", column_j)
+            got = [F.f(X), F.fstar(-X - 0.1), F.in_domain(X), F.in_interior(X),
+                   F.in_dual_interior(-X), F.f(X[7])]
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
