@@ -29,7 +29,7 @@ print("  numeric weights:", np.round(cert.weights, 6).tolist())
 print("  exact weights:  ", [round(m, 6) for m in bc.mu_coefficients(32.0)])
 print("  membership gap: ", cert.membership_gap)
 
-a_tilde = bc.threshold_a(1e-6)
+a_tilde = bc.threshold_a()
 print(f"\nthe Itakura-Saito dichotomy switches at a = {a_tilde:.6f}")
 for a in (16.0, 17.0, a_tilde - 0.1, a_tilde + 0.1, 19.0, 32.0):
     g, h = bc.g_of(a), bc.h_of(a)

@@ -23,7 +23,8 @@ optimum, it approaches the nonsmooth ridge of F_C only at rate O(1/t), so
 by default the exact solve finishes from its iterate.  ``polish=False``
 returns the bare averaging iterate, an independent path for cross-checks.
 (``solve_subgradient`` keeps the name of the subgradient method it
-replaced.)
+replaced.)  A ``quadratic`` problem is solved as energy on whitened points
+(``_whitened``), so the simplex solver sees only separable generators.
 """
 
 import enum
@@ -31,8 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compactset import CompactSet
 from .errors import DomainError, NonConvergence
 from .farthest import farthest
+from .legendre import energy
 from .simplex import _ROUND, _dual_argmin, dual_argmin, lsq_simplex_weights
 from .tolerances import DEFAULT
 
@@ -78,19 +81,20 @@ def certify(F, C, z, gap_tol=1e-8, solver=SolverName.CLOSED_FORM, iterations=0,
     Fits simplex weights mu minimizing ||grad f(z) - sum mu_i grad f(q_i)||
     over the farthest points q_i of z.  The certificate is valid when the
     gap is within ``gap_tol`` and the farthest set is multivalued whenever C
-    has at least two points.
+    has at least two points.  For ``quadratic`` the gap is in whitened
+    coordinates.
     """
     z = np.asarray(z, dtype=float)
     if not F.in_interior(z):
         raise DomainError("certify requires z in the interior of dom f")
-    res = farthest(F, C, z, tol)
-    W = F.grad(res.argmax)
-    mu, gap = lsq_simplex_weights(W, F.grad(z))
+    E, W, u, _ = _whitened(F, C, z)
+    res = farthest(E, W, u, tol)
+    mu, gap = lsq_simplex_weights(W.dual_data(E).G[res.witness_indices], E.grad(u))
     multival_ok = len(res.argmax) >= 2 or len(C) < 2
     return CenterCertificate(
         center=z,
         radius=res.value,
-        farthest=res.argmax,
+        farthest=C.enumerate()[res.witness_indices],
         weights=mu,
         membership_gap=gap,
         iterations=iterations,
@@ -98,6 +102,17 @@ def certify(F, C, z, gap_tol=1e-8, solver=SolverName.CLOSED_FORM, iterations=0,
         valid=bool(gap <= gap_tol and multival_ok),
         gap_tol=gap_tol,
     )
+
+
+def _whitened(F, C, x):
+    """The generator, set and point x a solve runs on, and the map back.
+    For ``quadratic``, A = L L^T gives D_A(x, c) = |x L - c L|^2 / 2: energy
+    on C L and x L, left by solving L^T z = u.  Otherwise F, C, x as given."""
+    L = F.quad_factor
+    if L is None:
+        return F, C, x, lambda u: u
+    return (energy(F.dimension), CompactSet.finite(C.enumerate() @ L), x @ L,
+            lambda u: np.linalg.solve(L.T, u))
 
 
 def default_start(F, C):
@@ -141,12 +156,10 @@ def _finish(F, C, x, iterations, solver, tol_stop, converged, tol):
 
 
 def _start(F, C, x0):
-    if x0 is None:
-        x0 = default_start(F, C)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = default_start(F, C) if x0 is None else np.asarray(x0, dtype=float)
     if not F.in_interior(x0):
         raise DomainError("x0 must lie in the interior of dom f")
-    return x0
+    return _whitened(F, C, x0)
 
 
 def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
@@ -159,17 +172,18 @@ def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
     stopping when the duality gap F_C(x_t) - dual(mu_t) is within its
     rounding (a certified optimum) or the dual step falls to ``tol``.  With
     ``polish`` the exact dual solve finishes from the last iterate; without
-    it the bare iterate is certified.
+    it the bare iterate is certified.  For ``quadratic``, ``tol`` is in
+    whitened coordinates.
     """
-    x0 = _start(F, C, x0)
-    G, K = C.dual_data(F)
+    E, W, x0, back = _start(F, C, x0)
+    G, K = W.dual_data(E)
     q = int((K - G @ x0).argmax())
     # y = G^T mu and muK = <mu, K> for the Frank-Wolfe weights mu
     y, muK = G[q].copy(), K[q]
     t = 0
     converged = False
     while t < max_iter:
-        x = F.grad_star(y)
+        x = E.grad_star(y)
         v = K - G @ x
         q = int(v.argmax())
         # F_C(x) - dual(mu) = v_q - <mu, K> + <y, x>, since f(x) + f*(y) = <x, y>
@@ -185,10 +199,10 @@ def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
         if eta * d.dot(d) ** 0.5 <= tol:
             converged = True
             break
-    x = F.grad_star(y)
+    x = E.grad_star(y)
     if polish:
-        x, _, _, converged = _exact_center(F, C, x)
-    return _finish(F, C, x, t, SolverName.FIXED_POINT, tol, converged, tolerances)
+        x, _, _, converged = _exact_center(E, W, x)
+    return _finish(F, C, back(x), t, SolverName.FIXED_POINT, tol, converged, tolerances)
 
 
 def solve_subgradient(F, C, x0=None, max_iter=2_000, tol=1e-9, tolerances=DEFAULT):
@@ -198,9 +212,9 @@ def solve_subgradient(F, C, x0=None, max_iter=2_000, tol=1e-9, tolerances=DEFAUL
     ``max_iter`` caps the working-set steps, which the certificate counts
     as its iterations; the certificate's gap tolerance is 100 ``tol``.
     """
-    x0 = _start(F, C, x0)
-    z, _, steps, done = _exact_center(F, C, x0, max_iter)
-    return _finish(F, C, z, steps, SolverName.SUBGRADIENT, tol, done, tolerances)
+    E, W, x0, back = _start(F, C, x0)
+    z, _, steps, done = _exact_center(E, W, x0, max_iter)
+    return _finish(F, C, back(z), steps, SolverName.SUBGRADIENT, tol, done, tolerances)
 
 
 @dataclass
@@ -223,15 +237,16 @@ def dual_hull_projection(F, C, x, membership_tol=1e-9):
 
     The unconstrained minimizer is grad f(x), so when the hull's minimizer
     lies within ``membership_tol`` of it, x is in the primal image of the
-    hull, is its own projection, and the result is flagged.
+    hull, is its own projection, and the result is flagged.  For
+    ``quadratic``, ``membership_tol`` is in whitened coordinates.
     """
     x = np.asarray(x, dtype=float)
     if not F.in_interior(x):
         raise DomainError("x must lie in the interior of dom f")
-    W = C.dual_data(F).G
-    gx = F.grad(x)
-    mu = dual_argmin(F, W, W @ x)
-    s = W.T @ mu
-    if np.linalg.norm(s - gx) <= membership_tol * (1.0 + float(np.linalg.norm(gx))):
+    E, W, u, back = _whitened(F, C, x)
+    G, gu = W.dual_data(E).G, E.grad(u)
+    mu = dual_argmin(E, G, G @ u)
+    s = G.T @ mu
+    if np.linalg.norm(s - gu) <= membership_tol * (1.0 + float(np.linalg.norm(gu))):
         return HullProjection(point=x.copy(), weights=mu, already_in_hull=True)
-    return HullProjection(point=F.grad_star(s), weights=mu, already_in_hull=False)
+    return HullProjection(point=back(E.grad_star(s)), weights=mu, already_in_hull=False)

@@ -157,7 +157,7 @@ def cmd_oracle(args):
         out["g"] = closedform.g_of(a)
         out["h"] = closedform.h_of(a)
         out["mu"] = list(closedform.mu_coefficients(a))
-        out["threshold"] = closedform.threshold_a(1e-6)
+        out["threshold"] = closedform.threshold_a()
     _emit(out)
     return 0
 

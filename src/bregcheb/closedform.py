@@ -131,24 +131,20 @@ def k_of(x):
     )
 
 
-def threshold_a(tol=1e-6):
+def threshold_a():
     """The a-value where the Itakura-Saito dichotomy switches (g = h).
 
     Bisects ``k_of`` on [xi, 1e6] with xi = 3 + 2*sqrt(2); its sign is
-    validated at both brackets before bisecting.  After the interval width
-    reaches ``tol``, bisection continues until |k| is at machine level so
-    the returned point sits on the root regardless of tol.
+    validated at both brackets before bisecting, which runs until |k| is at
+    machine level or the bracket is a few ulps wide.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     lo, hi = XI, 1e6
     if not (k_of(lo) > 0.0 and k_of(hi) < 0.0):
         raise RuntimeError("bisection bracket does not straddle the root")
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         km = k_of(mid)
-        if (hi - lo) <= tol and abs(km) <= 1e-12:
+        if abs(km) <= 1e-12:
             break
         if km > 0.0:
             lo = mid

@@ -145,8 +145,8 @@ def directional_derivative(F, C, x, h, tol=DEFAULT):
             "directional derivative at boundary points is only available "
             "when x + h lies in the interior"
         )
-    res = farthest(F, C, x, tol)
-    return float(np.max((F.grad(x)[None, :] - F.grad(res.argmax)) @ h))
+    idx = farthest(F, C, x, tol).witness_indices
+    return float(np.max((F.grad(x)[None, :] - C.dual_data(F).G[idx]) @ h))
 
 
 def subdifferential(F, C, x, tol=DEFAULT):
@@ -158,8 +158,7 @@ def subdifferential(F, C, x, tol=DEFAULT):
     x = np.asarray(x, dtype=float)
     if not F.in_interior(x):
         raise DomainError("subdifferential requires x in the interior of dom f")
-    res = farthest(F, C, x, tol)
-    verts = F.grad(x)[None, :] - F.grad(res.argmax)
+    verts = F.grad(x)[None, :] - C.dual_data(F).G[farthest(F, C, x, tol).witness_indices]
     kept = []
     for v in verts:
         if not any(np.linalg.norm(v - w) <= tol.vertex_dedup for w in kept):
@@ -175,9 +174,10 @@ def monotonicity_witness(F, C, x, y, tol=DEFAULT):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    qx = farthest(F, C, x, tol).argmax
-    qy = farthest(F, C, y, tol).argmax
-    if len(qx) == 0 or len(qy) == 0:
+    qx = farthest(F, C, x, tol).witness_indices
+    qy = farthest(F, C, y, tol).witness_indices
+    if not qx or not qy:
         raise DomainError("farthest set is empty (query outside dom f)")
-    diffs = F.grad(qy)[None, :, :] - F.grad(qx)[:, None, :]
+    G = C.dual_data(F).G
+    diffs = G[qy][None, :, :] - G[qx][:, None, :]
     return float(np.min(diffs @ (x - y)))

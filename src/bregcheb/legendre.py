@@ -91,17 +91,16 @@ class LegendreFunction:
                 raise ValueError("matrix must be symmetric")
             A = 0.5 * (A + A.T)
             try:
-                np.linalg.cholesky(A)
+                L = np.linalg.cholesky(A)
             except np.linalg.LinAlgError:
                 raise ValueError("matrix must be positive definite") from None
             A.setflags(write=False)
-            self._inv = np.linalg.inv(A)
-            self._inv.setflags(write=False)
-            self.quad_matrix = A
+            L.setflags(write=False)
+            self.quad_matrix, self.quad_factor = A, L
         else:
             if quad_matrix is not None:
                 raise ValueError("matrix is only valid for the quadratic kind")
-            self.quad_matrix = None
+            self.quad_matrix = self.quad_factor = None
         self.kind = kind
         self.dimension = dimension
 
@@ -202,7 +201,7 @@ class LegendreFunction:
         if self.kind is Kind.ENERGY:
             val = 0.5 * _row_sum(y * y)
         elif self.kind is Kind.QUADRATIC:
-            val = 0.5 * _row_sum(y * (y @ self._inv))
+            val = 0.5 * _row_sum(y * self.grad_star(y))
         elif self.kind is Kind.NEG_ENTROPY:
             val = _row_sum(np.exp(y))
         else:
@@ -217,7 +216,9 @@ class LegendreFunction:
         if self.kind is Kind.ENERGY:
             return y.copy()
         if self.kind is Kind.QUADRATIC:
-            return y @ self._inv
+            # A^-1 y = L^-T L^-1 y, one solve for all rows as columns
+            L, cols = self.quad_factor, y.reshape(-1, self.dimension).T
+            return np.linalg.solve(L.T, np.linalg.solve(L, cols)).T.reshape(y.shape)
         if self.kind is Kind.NEG_ENTROPY:
             return np.exp(y)
         # the only kind whose dom f* is not all of R^J
@@ -225,35 +226,19 @@ class LegendreFunction:
             raise DomainError(f"point outside int dom f* ({self.kind.value})")
         return -1.0 / y
 
-    def hess(self, x):
-        """Hessian of f, shape ``x.shape + (J,)``; requires x in U."""
-        x = self._check_dim(x)
-        if self.kind is Kind.QUADRATIC:
-            return self.quad_matrix * np.ones(x.shape[:-1] + (1, 1))
-        if self.kind is Kind.ENERGY:
-            diag = np.ones_like(x)
-        else:
-            if not (x > 0.0).all():
-                raise DomainError(f"point outside the interior of dom f ({self.kind.value})")
-            diag = 1.0 / x if self.kind is Kind.NEG_ENTROPY else 1.0 / x**2
-        return diag[..., None] * np.eye(self.dimension)
-
     def hess_star(self, y):
-        """Hessian of f*, the inverse of ``hess`` at grad_star(y), shape
-        ``y.shape + (J,)``; requires y in int dom f*."""
+        """Diagonal of the Hessian of f*, shape ``y.shape``; requires y in
+        int dom f*.  ``quadratic`` has no diagonal Hessian: ValueError."""
         y = self._check_dim(y)
         if self.kind is Kind.QUADRATIC:
-            return self._inv * np.ones(y.shape[:-1] + (1, 1))
+            raise ValueError("hess_star is diagonal only for the separable kinds")
         if self.kind is Kind.ENERGY:
-            diag = np.ones_like(y)
-        elif self.kind is Kind.NEG_ENTROPY:
-            diag = np.exp(y)
-        else:
-            # the only kind whose dom f* is not all of R^J
-            if not (y < 0.0).all():
-                raise DomainError(f"point outside int dom f* ({self.kind.value})")
-            diag = 1.0 / y**2
-        return diag[..., None] * np.eye(self.dimension)
+            return np.ones_like(y)
+        if self.kind is Kind.NEG_ENTROPY:
+            return np.exp(y)
+        if not (y < 0.0).all():
+            raise DomainError(f"point outside int dom f* ({self.kind.value})")
+        return 1.0 / y**2
 
     # -- serialization -----------------------------------------------------
 

@@ -127,7 +127,7 @@ def check_is_dichotomy(coord_tol=1e-4, threshold_window=0.005):
                     return CheckOutcome(
                         "is_dichotomy", False,
                         f"a={a:g} {cert.solver.value}: no farthest point near the midpoint")
-    a_tilde = threshold_a(1e-6)
+    a_tilde = threshold_a()
     if abs(a_tilde - 17.63) > threshold_window:
         return CheckOutcome(
             "is_dichotomy", False, f"threshold {a_tilde:.6f} not within "

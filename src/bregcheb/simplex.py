@@ -30,20 +30,20 @@ def _face_step(A, H, r):
     """Newton step on a face: y minimizing r.y + |A^T y|_H^2 / 2, its
     slope -r.y, and the null combinations of the face's rows.  A holds the
     face's vertices minus its first one, r their gradient entries minus the
-    first one's.  Gram-Schmidt in the inner product of H factors A H A^T as
-    R^T R from the rows of A, without forming it, so rows that share one
-    huge coordinate keep the small differences that forming it would round
-    away.  A row within rounding of the span of the earlier ones gets no
-    Newton step; its null combination, y with y A = 0 and its own entry 1,
-    comes from back-substitution on R."""
+    first one's, H the diagonal of hess f*.  Gram-Schmidt in the inner
+    product of H factors A H A^T as R^T R from the rows of A, without
+    forming it, so rows that share one huge coordinate keep the small
+    differences that forming it would round away.  A row within rounding of
+    the span of the earlier ones gets no Newton step; its null combination,
+    y with y A = 0 and its own entry 1, comes from back-substitution on R."""
     n = len(A)
     V = A.copy()
     R = [[0.0] * n for _ in range(n)]
     kept, nulls = [], []
     for i in range(n):
-        Hv = H.dot(V[i])
+        Hv = H * V[i]
         norm = math.sqrt(max(V[i].dot(Hv), 0.0))
-        scale = math.sqrt(A[i].dot(H).dot(A[i])) if i else norm
+        scale = math.sqrt((A[i] * H).dot(A[i])) if i else norm
         if not norm > _ROUND * scale:
             # A_i = sum_k a_k A_k over the kept rows k < i, R a = R[:, i]
             y = [-v for v in _back(R, kept, [row[i] for row in R])]
@@ -77,7 +77,8 @@ def _direction(y, mu, A, x_err, own):
 
 def dual_argmin(F, W, c):
     """Weights mu on the simplex minimizing f*(W^T mu) - <c, mu>, W with
-    one row per vertex in int dom f*.
+    one row per vertex in int dom f*, for a separable F (not ``quadratic``,
+    which ``center`` poses as energy on whitened points).
 
     Wolfe's minimum-norm-point scheme with f* in place of the squared norm:
     from the first vertex, Newton steps on the face of the working set S,
@@ -120,10 +121,10 @@ def _dual_argmin(F, W, c, max_steps=None):
     def evaluate(s, spread, H):
         """W grad f*(s) - c, the rounding of each entry's dot product, and
         that of grad f*(s), with the rounding _ROUND * spread of s carried
-        through H = hess f* near s."""
+        through H, the diagonal of hess f* near s."""
         x = F.grad_star(s)
         x_abs = np.abs(x)
-        x_err = x_abs if H is None else x_abs + np.abs(H).dot(spread)
+        x_err = x_abs if H is None else x_abs + np.abs(H) * spread
         return W.dot(x) - c, _ROUND * (W_abs.dot(x_abs) + c_abs), _ROUND * x_err
 
     S, mu = [0], [1.0]
@@ -231,11 +232,3 @@ def lsq_simplex_weights(V, b):
     mu = dual_argmin(energy(V.shape[1]), D, np.zeros(len(V)))
     r = mu.dot(D)
     return mu, math.sqrt(r.dot(r))
-
-
-def min_norm_in_hull(V):
-    """Minimum-norm point of conv(rows of V), the b = 0 case of
-    ``lsq_simplex_weights``; returns (point, weights)."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    mu, _ = lsq_simplex_weights(V, np.zeros(V.shape[1]))
-    return mu.dot(V), mu

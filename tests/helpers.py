@@ -270,6 +270,9 @@ def _reference_support_newton(F, W, x, support, max_iter=60):
         g = Ws @ (F.grad_star(s) - x)
         return np.concatenate([g - nu, [mu.sum() - 1.0]]), s
 
+    # hess f*: a dense inverse of its own for quadratic, so the reference
+    # shares no whitening with the library; a diagonal for the other kinds
+    A_inv = None if F.quad_matrix is None else np.linalg.inv(F.quad_matrix)
     res, s = kkt(mu, nu)
     rnorm = float(np.linalg.norm(res))
     scale = 1.0 + float(np.abs(x).max())
@@ -277,7 +280,7 @@ def _reference_support_newton(F, W, x, support, max_iter=60):
         if rnorm <= 1e-12 * scale:
             break
         Jac = np.zeros((k + 1, k + 1))
-        Jac[:k, :k] = Ws @ F.hess_star(s) @ Ws.T
+        Jac[:k, :k] = (Ws * F.hess_star(s) if A_inv is None else Ws @ A_inv) @ Ws.T
         Jac[:k, k] = -1.0
         Jac[k, :k] = 1.0
         try:
@@ -303,6 +306,27 @@ def _reference_support_newton(F, W, x, support, max_iter=60):
     if not np.all(np.isfinite(res)) or rnorm > 1e-10 * scale:
         return None
     return mu, nu
+
+
+def reference_energy_center(P):
+    """The energy Chebyshev center of the rows of P (the center of their
+    smallest enclosing ball) and its radius max |z - p|^2 / 2, by trying the
+    circumcenter of every support of at most J + 1 points.  No point has a
+    smaller radius than the center, and the center is the circumcenter of
+    its farthest points, so the smallest radius found is the optimum."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    best = (None, np.inf)
+    for size in range(1, min(len(P), P.shape[1] + 1) + 1):
+        for support in combinations(range(len(P)), size):
+            S = P[list(support)]
+            D = S[1:] - S[0]
+            # z = S_0 + a D with |z - S_i| = |z - S_0|: 2 D D^T a = |D_i|^2
+            a = np.linalg.lstsq(2.0 * D @ D.T, np.sum(D * D, axis=1), rcond=None)[0]
+            z = S[0] + a @ D
+            radius = 0.5 * float(np.max(np.sum((P - z) ** 2, axis=1)))
+            if radius < best[1]:
+                best = (z, radius)
+    return best
 
 
 def reference_dual_hull_argmin(F, W, x):

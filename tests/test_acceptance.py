@@ -62,7 +62,7 @@ def test_criterion_3_is_dichotomy():
             else:
                 near = np.abs(np.asarray(cert.farthest) - c_half).max(axis=1).min()
                 assert near <= 1e-3, (a, cert.solver)
-    a_tilde = bc.threshold_a(1e-6)
+    a_tilde = bc.threshold_a()
     assert abs(a_tilde - 17.63) <= 0.005
     assert bc.k_of(a_tilde) <= 1e-8
     print(

@@ -9,7 +9,8 @@ from bregcheb.repro import A_VALUES, SEGMENT_SAMPLES
 from bregcheb.simplex import lsq_simplex_weights
 
 from helpers import (LAYOUTS, all_generators, center_duality_gap, layout_points,
-                     orthant_domain, random_finite_set, random_generator)
+                     orthant_domain, random_finite_set, random_generator,
+                     reference_energy_center)
 
 
 def test_singleton_center_both_solvers():
@@ -112,12 +113,65 @@ def test_exact_center_certifies_itself(problem):
     # the solver's own weights bound the radius from below: no tie rule and
     # no solver tolerance enters the gap
     F, P = problem
+    if F.quad_factor is not None:
+        # solves pose a quadratic problem as energy on the whitened points
+        F, P = bc.energy(F.dimension), P @ F.quad_factor
     C = bc.CompactSet.finite(P)
     z, mu, _, done = _exact_center(F, C, bc.default_start(F, C))
     assert done
     assert np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= bc.DEFAULT.simplex_sum
     gap, radius = center_duality_gap(F, P, z, mu)
     assert gap <= 1e-12 * (1.0 + abs(radius))
+
+
+def _ill_conditioned(rng, J, cond):
+    """A = Q diag(geomspace(1, cond, J)) Q^T with Q a random rotation."""
+    Q, _ = np.linalg.qr(rng.normal(size=(J, J)))
+    A = Q @ np.diag(np.geomspace(1.0, cond, J)) @ Q.T
+    return bc.quadratic(0.5 * (A + A.T))
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e10, 1e13])
+def test_ill_conditioned_quadratic_is_whitened_energy(cond):
+    # with A = L L^T, D_A(x, c) = |x L - c L|^2 / 2; through an explicit
+    # inverse of A both solvers stopped at one farthest point with
+    # membership gaps of cond order, and certify rejected the true center
+    rng = np.random.default_rng(7)
+    P = rng.normal(size=(25, 5))
+    F = _ill_conditioned(rng, 5, cond)
+    C = bc.CompactSet.finite(P)
+    L = np.linalg.cholesky(F.quad_matrix)
+    ref = bc.solve_subgradient(bc.energy(5), bc.CompactSet.finite(P @ L))
+    for cert in (bc.solve_subgradient(F, C), bc.solve_fixed_point(F, C)):
+        assert cert.valid and len(cert.farthest) >= 2
+        assert abs(cert.radius - ref.radius) <= 1e-12 * ref.radius
+    cert = bc.certify(F, C, np.linalg.solve(L.T, ref.center))
+    assert cert.valid and len(cert.farthest) >= 2
+
+
+@st.composite
+def ill_conditioned_quadratics(draw):
+    """A quadratic generator with condition number up to 1e12 in dimension
+    1 to 5, and 2 to 7 standard normal points."""
+    J = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 7))
+    cond = 10.0 ** draw(st.floats(0.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _ill_conditioned(rng, J, cond), rng.normal(size=(m, J))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ill_conditioned_quadratics())
+def test_ill_conditioned_quadratic_against_support_enumeration(problem):
+    F, P = problem
+    L = np.linalg.cholesky(F.quad_matrix)
+    u_ref, r_ref = reference_energy_center(P @ L)
+    C = bc.CompactSet.finite(P)
+    for cert in (bc.solve_subgradient(F, C), bc.solve_fixed_point(F, C, tol=1e-3)):
+        assert cert.valid and len(cert.farthest) >= 2
+        assert abs(cert.radius - r_ref) <= 1e-10 * r_ref
+    z_ref = np.linalg.solve(L.T, u_ref)
+    assert bc.certify(F, C, z_ref, gap_tol=1e-12 * (1.0 + r_ref) ** 0.5).valid
 
 
 def test_exact_center_within_the_averaging_accuracy():

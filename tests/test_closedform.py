@@ -60,7 +60,7 @@ def test_k_properties():
 
 
 def test_threshold():
-    a_tilde = bc.threshold_a(1e-6)
+    a_tilde = bc.threshold_a()
     assert abs(a_tilde - 17.63) <= 0.005
     assert abs(bc.k_of(a_tilde)) <= 1e-8
     # the threshold is where the two center formulas meet
@@ -158,7 +158,7 @@ def test_structure_matches_brute_force(generator):
 
 @pytest.mark.parametrize("generator", list(bc.Generator), ids=lambda g: g.value)
 def test_oracle_vs_solver_sweep(generator):
-    a_tilde = bc.threshold_a(1e-6)
+    a_tilde = bc.threshold_a()
     for a in (2.0, 4.0, 8.0, 16.0, 32.0, a_tilde - 1.0, a_tilde + 1.0):
         cfg = bc.CaseConfig(a, generator)
         F, C = cfg.legendre(), cfg.segment(21)
@@ -167,7 +167,7 @@ def test_oracle_vs_solver_sweep(generator):
 
 
 def test_threshold_consistency_of_farthest_set():
-    a_tilde = bc.threshold_a(1e-6)
+    a_tilde = bc.threshold_a()
     for a, expect_midpoint in ((a_tilde - 0.1, False), (a_tilde + 0.1, True)):
         cfg = bc.CaseConfig(a, bc.Generator.ITAKURA_SAITO)
         F, C = cfg.legendre(), cfg.segment(21)

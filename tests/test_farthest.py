@@ -107,10 +107,10 @@ def test_subdifferential_contains_zero_at_center(energy_segment4):
     F, C = energy_segment4
     verts = bc.subdifferential(F, C, [2.5, 2.5])
     assert np.allclose(sorted(map(tuple, verts.tolist())), [(-1.5, 1.5), (1.5, -1.5)])
-    from bregcheb.simplex import min_norm_in_hull
+    from bregcheb.simplex import lsq_simplex_weights
 
-    point, _ = min_norm_in_hull(verts)
-    assert np.linalg.norm(point) <= 1e-12
+    _, norm = lsq_simplex_weights(verts, 0)
+    assert norm <= 1e-12
 
 
 def test_subdifferential_requires_interior():
