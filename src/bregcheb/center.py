@@ -5,26 +5,18 @@ characterized in dual coordinates: grad f(z) must be a convex combination of
 grad f over the farthest points Q_C(z).  The certificate records that convex
 combination and its residual ("membership gap").
 
-The certificate weights, the hull projection and the center each minimize
-f*(W^T mu) - <c, mu> over the simplex; one exact working-set solver,
-``simplex.dual_argmin``, serves all three without enumerating supports.
-
-The center maximizes the smooth dual <mu, K> - f*(G^T mu) over the simplex,
-with G = grad f(C), K_c = <G_c, c> - f(c) and z = grad f*(G^T mu): the same
-problem with W = G and c = K.  ``solve_subgradient`` makes that one
-``dual_argmin`` solve over the whole set.  The vertex the solver adds next,
-the lowest gradient entry <G_c, z> - K_c, is the farthest point
-argmax_c D(z, c), and where the working set's dual points are affinely
-dependent with K not affine along the dependency, its reduction step drops
-a vertex.  ``solve_fixed_point`` is Frank-Wolfe on the same dual, averaging
-toward a current farthest point in dual coordinates with the step schedule
-1/(t+2) from the farthest point of x0; unless its duality gap certifies an
-optimum, it approaches the nonsmooth ridge of F_C only at rate O(1/t), so
-by default the exact solve finishes from its iterate.  ``polish=False``
-returns the bare averaging iterate, an independent path for cross-checks.
-(``solve_subgradient`` keeps the name of the subgradient method it
-replaced.)  A ``quadratic`` problem is solved as energy on whitened points
-(``_whitened``), so the simplex solver sees only separable generators.
+Every routine here reads the set's one dual problem, ``C.dual_problem(F)``:
+maximize <mu, K> - f*(G^T mu) over the simplex, with G = grad f(C),
+K_c = <G_c, c> - f(c) and center z = grad f*(G^T mu).  A separable
+generator poses it on C itself, and ``quadratic`` as energy on the whitened
+points, so its ``gap_tol``, ``tol`` and ``membership_tol`` are in those
+coordinates.  ``solve_subgradient`` (named after the subgradient method it
+replaced) makes one exact ``simplex.dual_argmin`` solve of it.
+``solve_fixed_point`` is Frank-Wolfe on it, which nears the nonsmooth ridge
+of F_C only at rate O(1/t) unless its duality gap certifies an optimum, so
+by default the exact solve finishes from its iterate.  The certificate
+weights and the hull projection (K replaced by G x) minimize over the
+simplex in the same form, with the same solver.
 """
 
 import enum
@@ -32,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compactset import CompactSet
 from .errors import DomainError, NonConvergence
 from .farthest import farthest
-from .legendre import energy
 from .simplex import _ROUND, _dual_argmin, dual_argmin, lsq_simplex_weights
 from .tolerances import DEFAULT
 
@@ -81,13 +71,13 @@ def certify(F, C, z, gap_tol=1e-8, solver=SolverName.CLOSED_FORM, iterations=0,
     Fits simplex weights mu minimizing ||grad f(z) - sum mu_i grad f(q_i)||
     over the farthest points q_i of z.  The certificate is valid when the
     gap is within ``gap_tol`` and the farthest set is multivalued whenever C
-    has at least two points.  For ``quadratic`` the gap is in whitened
-    coordinates.
+    has at least two points.
     """
     z = np.asarray(z, dtype=float)
     if not F.in_interior(z):
         raise DomainError("certify requires z in the interior of dom f")
-    E, W, u, _ = _whitened(F, C, z)
+    E, W, lift, _ = C.dual_problem(F)
+    u = lift(z)
     res = farthest(E, W, u, tol)
     mu, gap = lsq_simplex_weights(W.dual_data(E).G[res.witness_indices], E.grad(u))
     multival_ok = len(res.argmax) >= 2 or len(C) < 2
@@ -104,28 +94,18 @@ def certify(F, C, z, gap_tol=1e-8, solver=SolverName.CLOSED_FORM, iterations=0,
     )
 
 
-def _whitened(F, C, x):
-    """The generator, set and point x a solve runs on, and the map back.
-    For ``quadratic``, A = L L^T gives D_A(x, c) = |x L - c L|^2 / 2: energy
-    on C L and x L, left by solving L^T z = u.  Otherwise F, C, x as given."""
-    L = F.quad_factor
-    if L is None:
-        return F, C, x, lambda u: u
-    return (energy(F.dimension), CompactSet.finite(C.enumerate() @ L), x @ L,
-            lambda u: np.linalg.solve(L.T, u))
-
-
 def default_start(F, C):
     """Dual average: grad f* of the mean of grad f over the set.
 
     Always lies in U, and is symmetric for symmetric inputs.
     """
-    return F.grad_star(C.dual_data(F).G.mean(axis=0))
+    E, W, _, back = C.dual_problem(F)
+    return back(E.grad_star(W.dual_data(E).G.mean(axis=0)))
 
 
 def _exact_center(F, C, x, max_steps=None):
-    """The center as one ``dual_argmin`` solve over all of C: mu
-    maximizing <mu, K> - f*(G^T mu) over the simplex, z = grad f*(G^T mu).
+    """The center as one ``dual_argmin`` solve over all of C, F separable:
+    mu maximizing <mu, K> - f*(G^T mu) over the simplex, z = grad f*(G^T mu).
 
     The working set starts at the farthest point of x.  Returns (z, mu,
     steps, done); done is false when max_steps (default ``dual_argmin``'s
@@ -135,10 +115,9 @@ def _exact_center(F, C, x, max_steps=None):
     G, K = C.dual_data(F)
     first = int(np.argmax(K - G @ x))
     order = np.arange(len(K))
-    order[[0, first]] = order[[first, 0]]
+    order[[0, first]] = order[[first, 0]]  # a swap: its own inverse
     mu_order, steps, done = _dual_argmin(F, G[order], K[order], max_steps)
-    mu = np.empty_like(mu_order)
-    mu[order] = mu_order
+    mu = mu_order[order]
     return F.grad_star(mu @ G), mu, steps, done
 
 
@@ -155,13 +134,6 @@ def _finish(F, C, x, iterations, solver, tol_stop, converged, tol):
     return cert
 
 
-def _start(F, C, x0):
-    x0 = default_start(F, C) if x0 is None else np.asarray(x0, dtype=float)
-    if not F.in_interior(x0):
-        raise DomainError("x0 must lie in the interior of dom f")
-    return _whitened(F, C, x0)
-
-
 def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
                       tolerances=DEFAULT):
     """Frank-Wolfe on the dual: averaging toward a farthest point.
@@ -172,12 +144,14 @@ def solve_fixed_point(F, C, x0=None, max_iter=200_000, tol=1e-6, polish=True,
     stopping when the duality gap F_C(x_t) - dual(mu_t) is within its
     rounding (a certified optimum) or the dual step falls to ``tol``.  With
     ``polish`` the exact dual solve finishes from the last iterate; without
-    it the bare iterate is certified.  For ``quadratic``, ``tol`` is in
-    whitened coordinates.
+    it the bare iterate is certified.
     """
-    E, W, x0, back = _start(F, C, x0)
+    E, W, lift, back = C.dual_problem(F)
+    x0 = default_start(F, C) if x0 is None else np.asarray(x0, dtype=float)
+    if not F.in_interior(x0):
+        raise DomainError("x0 must lie in the interior of dom f")
     G, K = W.dual_data(E)
-    q = int((K - G @ x0).argmax())
+    q = int((K - G @ lift(x0)).argmax())
     # y = G^T mu and muK = <mu, K> for the Frank-Wolfe weights mu
     y, muK = G[q].copy(), K[q]
     t = 0
@@ -212,8 +186,11 @@ def solve_subgradient(F, C, x0=None, max_iter=2_000, tol=1e-9, tolerances=DEFAUL
     ``max_iter`` caps the working-set steps, which the certificate counts
     as its iterations; the certificate's gap tolerance is 100 ``tol``.
     """
-    E, W, x0, back = _start(F, C, x0)
-    z, _, steps, done = _exact_center(E, W, x0, max_iter)
+    E, W, lift, back = C.dual_problem(F)
+    x0 = default_start(F, C) if x0 is None else np.asarray(x0, dtype=float)
+    if not F.in_interior(x0):
+        raise DomainError("x0 must lie in the interior of dom f")
+    z, _, steps, done = _exact_center(E, W, lift(x0), max_iter)
     return _finish(F, C, back(z), steps, SolverName.SUBGRADIENT, tol, done, tolerances)
 
 
@@ -237,13 +214,13 @@ def dual_hull_projection(F, C, x, membership_tol=1e-9):
 
     The unconstrained minimizer is grad f(x), so when the hull's minimizer
     lies within ``membership_tol`` of it, x is in the primal image of the
-    hull, is its own projection, and the result is flagged.  For
-    ``quadratic``, ``membership_tol`` is in whitened coordinates.
+    hull, is its own projection, and the result is flagged.
     """
     x = np.asarray(x, dtype=float)
     if not F.in_interior(x):
         raise DomainError("x must lie in the interior of dom f")
-    E, W, u, back = _whitened(F, C, x)
+    E, W, lift, back = C.dual_problem(F)
+    u = lift(x)
     G, gu = W.dual_data(E).G, E.grad(u)
     mu = dual_argmin(E, G, G @ u)
     s = G.T @ mu

@@ -145,15 +145,10 @@ def cmd_oracle(args):
         raise DomainError("oracle supports --gen energy|negentropy|neglog")
     generator = gen_map[args.gen]
     a = args.a
-    out = {"a": a, "generator": generator.value}
-    if generator is closedform.Generator.EUCLIDEAN:
-        out["center"] = closedform.center_euclidean(a).tolist()
-    elif generator is closedform.Generator.KL:
-        out["center"] = closedform.center_kl(a).tolist()
-    else:
-        info = closedform.center_is(a)
-        out["center"] = info.point.tolist()
-        out["farthest_lambdas"] = list(info.farthest_lambdas)
+    out = {"a": a, "generator": generator.value,
+           "center": closedform.CaseConfig(a, generator).center().tolist()}
+    if generator is closedform.Generator.ITAKURA_SAITO:
+        out["farthest_lambdas"] = list(closedform.center_is(a).farthest_lambdas)
         out["g"] = closedform.g_of(a)
         out["h"] = closedform.h_of(a)
         out["mu"] = list(closedform.mu_coefficients(a))

@@ -2,16 +2,24 @@
 
 import enum
 import json
+from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
 from .bregman import dual_data
 from .errors import DomainError
+from .legendre import energy
 
 
 class SetKind(enum.Enum):
     FINITE = "finite"
     SEGMENT = "segment"
+
+
+# The center's dual problem: max <mu, K> - E*(G^T mu), E separable, over the
+# simplex with (G, K) = W.dual_data(E); ``lift`` maps C into W, ``back`` back.
+DualProblem = namedtuple("DualProblem", "E W lift back")
 
 
 class CompactSet:
@@ -21,13 +29,14 @@ class CompactSet:
     its samples once, with the endpoints always included; ``enumerate``
     returns that read-only array.
 
-    ``dual_data(F)`` caches the set's dual form under the last generator
-    asked about: the read-only arrays G = grad f(C) and
-    K_c = <G_c, c> - f(c), so a farthest query costs one small product.
-    Instances are immutable: points, samples and every cached array never
-    change, and the cache is a pure function of the set and the generator,
-    so it changes no answer.  It is replaced by one attribute assignment,
-    so two threads that race on it only compute the same value twice.
+    Two slots each cache a value for the last generator asked about, so
+    queries and solves on one set do not evict each other: ``dual_data(F)``,
+    the read-only G = grad f(C) and K_c = <G_c, c> - f(c), so a farthest
+    query costs one small product, and ``dual_problem(F)`` for
+    ``quadratic``, with the whitened set.  Instances are immutable: points,
+    samples and cached arrays never change, and a cache is a pure function
+    of the set and the generator, so it changes no answer.  Each slot is set
+    by one attribute assignment, so a race only computes a value twice.
     """
 
     def __init__(self, kind, points, samples=None):
@@ -57,7 +66,7 @@ class CompactSet:
             self._enumerated.setflags(write=False)
         else:
             self._enumerated = points
-        self._dual = None
+        self._dual = self._problem = None
 
     @classmethod
     def finite(cls, points):
@@ -75,15 +84,31 @@ class CompactSet:
         """
         return self._enumerated
 
-    def dual_data(self, F):
-        """``bregman.dual_data`` of the enumerated points under F, computed
-        once and reused while later calls pass F again or a generator
-        ``==`` to it."""
-        cached = self._dual
+    def _cached(self, slot, F, build):
+        """build(F), computed once and reused while later calls pass F again
+        or a generator ``==`` to it."""
+        cached = getattr(self, slot)
         if cached is None or not (cached[0] is F or cached[0] == F):
-            cached = (F, dual_data(F, self._enumerated))
-            self._dual = cached
+            cached = (F, build(F))
+            setattr(self, slot, cached)
         return cached[1]
+
+    def dual_data(self, F):
+        """``bregman.dual_data`` of the enumerated points under F."""
+        return self._cached("_dual", F, lambda F: dual_data(F, self._enumerated))
+
+    def dual_problem(self, F):
+        """The ``DualProblem`` of the set under F: (F, C) for a separable F,
+        whose maps return an array as it is.  For ``quadratic`` with
+        A = L L^T, D_A(x, c) = |x L - c L|^2 / 2: energy on the whitened
+        points C L, lifted by x -> x L and mapped back by solving L^T z = u
+        (maps that pickle, as the set does)."""
+        L = F.quad_factor
+        if L is None:
+            return DualProblem(F, self, np.asarray, np.asarray)
+        return self._cached("_problem", F, lambda F: DualProblem(
+            energy(F.dimension), CompactSet.finite(self._enumerated @ L),
+            L.__rmatmul__, partial(np.linalg.solve, L.T)))
 
     def __len__(self):
         return self.samples if self.kind is SetKind.SEGMENT else self.points.shape[0]

@@ -90,12 +90,13 @@ def dual_argmin(F, W, c):
     boundary and drops a vertex.  Once the face is solved, the outside
     vertex with the lowest gradient entry <W_j, grad f*(s)> - c_j joins if
     it may lie below one in S; if the step on the enlarged face gains
-    nothing above rounding, it is set aside until the next step.  The solve
-    ends when no vertex may join and a face step has confirmed the face;
-    NonConvergence after 50 (m + J) + 100 steps.  Each slope is weighed
-    against its own rounding, so the large rounding of s in a coordinate
-    where all the face's rows are huge does not hide a step that leaves
-    that coordinate alone.
+    nothing above rounding, it is set aside until the next step with every
+    vertex whose entry less its rounding is no lower (so ties cost one face
+    step).  The solve ends when no vertex may join and a face step has
+    confirmed the face; NonConvergence after 50 (m + J) + 100 steps.  Each
+    slope is weighed against its own rounding, so the large rounding of s
+    in a coordinate where all the face's rows are huge does not hide a step
+    that leaves that coordinate alone.
     """
     mu, steps, done = _dual_argmin(F, W, c)
     if not done:
@@ -132,7 +133,8 @@ def _dual_argmin(F, W, c, max_steps=None):
     # s is exact at a vertex; H = hess f*(s) once a face step needs it
     s, H = W[0], None
     g, own, x_err = evaluate(s, None, None)
-    added, set_aside = None, set()
+    # the vertices that may join: outside S and not set aside
+    added, may_join = None, np.arange(m) > 0
     # solved: the face's gradient entries agree within their pairwise
     # rounding; checked: so a face step found, or the face has one direction
     solved = checked = True
@@ -141,13 +143,12 @@ def _dual_argmin(F, W, c, max_steps=None):
     while steps < max_steps:
         steps += 1
         if solved:
-            outside = [j for j in range(m) if j not in S and j not in set_aside]
-            if outside:
+            outside = may_join.nonzero()[0]
+            if outside.size:
                 tol = W_abs.dot(x_err) + own
-                gO = g.take(outside)
-                j = int(gO.argmin())
-                if gO[j] - tol[outside[j]] < (g.take(S) + tol.take(S)).max():
-                    added = outside[j]
+                j = int(outside[g.take(outside).argmin()])
+                if g[j] - tol[j] < (g.take(S) + tol.take(S)).max():
+                    added, may_join[j] = j, False
                     S.append(added)
                     mu.append(0.0)
                     WS, WS_abs = W.take(S, axis=0), W_abs.take(S, axis=0)
@@ -181,12 +182,13 @@ def _dual_argmin(F, W, c, max_steps=None):
                     and any(w + v != w for w, v in zip(mu, d))):
                 solved = checked = True
                 if added is not None:
-                    # the entries that chose it may be mostly rounding, so
-                    # the other vertices still get their turn
+                    # the entries that chose it may be mostly rounding, so the
+                    # others, bar those no lower (g, tol: the join's), get a turn
                     S.pop()
                     mu.pop()
                     WS, WS_abs = WS[:-1], WS_abs[:-1]
-                    set_aside.add(added)
+                    lower = g - tol
+                    may_join &= lower < lower[added]
                     added = None
                 continue
         t_max = min(ratio)
@@ -211,7 +213,8 @@ def _dual_argmin(F, W, c, max_steps=None):
             WS, WS_abs = W.take(S, axis=0), W_abs.take(S, axis=0)
             gS, ownS = g.take(S), own.take(S)
         added = None
-        set_aside.clear()
+        may_join.fill(True)
+        may_join.put(S, False)
         rounding = np.abs(WS[1:] - WS[0]).dot(x_err) + ownS[1:] + ownS[0]
         solved = bool((np.abs(gS[1:] - gS[0]) <= rounding).all())
         checked = solved and len(S) <= 2

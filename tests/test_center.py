@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bregcheb as bc
+from bregcheb import compactset
 from bregcheb.center import _exact_center
 from bregcheb.errors import DomainError, NonConvergence
 from bregcheb.repro import A_VALUES, SEGMENT_SAMPLES
@@ -392,3 +393,49 @@ def test_dual_hull_projection_requires_interior():
     C = bc.CompactSet.finite([[1.0, 1.0]])
     with pytest.raises(DomainError):
         bc.dual_hull_projection(F, C, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("F", all_generators(3), ids=lambda F: F.kind.value)
+def test_each_set_computes_its_dual_form_once(F, monkeypatch):
+    calls = []
+    dual_data = compactset.dual_data
+
+    def counting(*args):
+        calls.append(1)
+        return dual_data(*args)
+
+    monkeypatch.setattr(compactset, "dual_data", counting)
+    rng = np.random.default_rng(40)
+    C = random_finite_set(F, rng, n_points=40)
+    bc.solve_subgradient(F, C)
+    assert len(calls) == 1
+    x = C.enumerate().mean(axis=0) + 0.5
+    for run in (lambda: bc.solve_subgradient(F, C), lambda: bc.solve_fixed_point(F, C),
+                lambda: bc.certify(F, C, x), lambda: bc.dual_hull_projection(F, C, x)):
+        calls.clear()
+        run()
+        assert calls == []
+
+
+def _tied_sets():
+    """Points all at the same distance from their center: m cocircular
+    points in the plane, and points on the unit sphere in J = 5 and 12."""
+    for m in (100, 400, 1600):
+        t = 2.0 * np.pi * np.arange(m) / m
+        yield np.c_[np.cos(t), np.sin(t)]
+    rng = np.random.default_rng(44)
+    for J in (5, 12):
+        for m in (50, 200, 800):
+            P = rng.normal(size=(m, J))
+            yield P / np.linalg.norm(P, axis=1, keepdims=True)
+
+
+def test_tied_points_take_a_bounded_number_of_steps():
+    # a vertex whose face step gains nothing is set aside with every
+    # outside vertex no lower than it, so a tie costs one step, not one per
+    # tied point
+    for P in _tied_sets():
+        m, J = P.shape
+        cert = bc.solve_subgradient(bc.energy(J), bc.CompactSet.finite(P))
+        assert cert.valid
+        assert cert.iterations <= 3 * (J + 1) + 4, (m, J, cert.iterations)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,48 @@ def test_enumerated_points_and_dual_form_are_read_only(F):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         assert C.dual_data(F) is C.dual_data(F)
+
+
+def test_dual_problem_of_each_generator():
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(3, 3))
+    gens = all_generators() + all_generators(3) + [bc.quadratic(A @ A.T + 0.3 * np.eye(3))]
+    for F in gens:
+        J = F.dimension
+        lo = 0.5 if F.kind in (bc.Kind.NEG_ENTROPY, bc.Kind.NEG_LOG) else -2.0
+        sets = [bc.CompactSet.finite(rng.uniform(lo, 3.0, size=(7, J))),
+                bc.CompactSet.segment(*rng.uniform(lo, 3.0, size=(2, J)), 9)]
+        for C in sets:
+            problem = C.dual_problem(F)
+            E, W, lift, back = problem
+            x = rng.uniform(lo, 3.0, size=J)
+            if F.quad_factor is None:
+                # a separable problem is the set itself and computes nothing
+                assert E is F and W is C
+                assert W.dual_data(E) is C.dual_data(F)
+                assert lift(x) is x and back(x) is x
+                continue
+            L = F.quad_factor
+            assert E == bc.energy(J)
+            assert W.dual_data(E).G.tobytes() == (C.enumerate() @ L).tobytes()
+            assert np.allclose(back(lift(x)), x, rtol=1e-12, atol=1e-12)
+            # A^-1 mean(C A) = mean(C)
+            np.testing.assert_allclose(bc.default_start(F, C), C.enumerate().mean(axis=0),
+                                       rtol=1e-12, atol=1e-12)
+            # one problem per set and generator, kept for an equal generator
+            # and beside the set's own dual form
+            C.dual_data(F)
+            bc.farthest(F, C, x)
+            assert C.dual_problem(F) is problem
+            assert C.dual_problem(bc.quadratic(F.quad_matrix)) is problem
+            # a separable problem is not cached, so it evicts nothing
+            assert C.dual_problem(bc.energy(J)).W is C
+            assert C.dual_problem(F) is problem
+
+
+def test_a_solved_set_pickles():
+    F = bc.quadratic([[2.0, 0.5], [0.5, 1.0]])
+    C = bc.CompactSet.finite([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+    cert = bc.solve_subgradient(F, C)
+    copy = pickle.loads(pickle.dumps(C))
+    assert np.array_equal(bc.solve_subgradient(F, copy).center, cert.center)

@@ -493,3 +493,13 @@ def test_farthest_and_certify_reach_distance_matrix(monkeypatch):
     assert len(calls) == 1
     bc.certify(F, C, bc.default_start(F, C))
     assert len(calls) == 2
+    # a quadratic set is solved and certified as energy on its whitened
+    # points, still through farthest and distance_matrix
+    F = bc.quadratic([[2.0, 0.5], [0.5, 1.0]])
+    C = bc.CompactSet.finite([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [2.0, 2.5]])
+    for solve in (bc.solve_subgradient, bc.solve_fixed_point):
+        calls.clear()
+        cert = solve(F, C)
+        assert cert.valid and len(calls) == 1
+        bc.certify(F, C, cert.center)
+        assert len(calls) == 2
