@@ -33,7 +33,6 @@ from .tolerances import DEFAULT
 class SolverName(enum.Enum):
     FIXED_POINT = "fixed_point"
     SUBGRADIENT = "subgradient"
-    CLOSED_FORM = "closed_form"
 
 
 @dataclass
@@ -46,7 +45,7 @@ class CenterCertificate:
     weights: np.ndarray
     membership_gap: float
     iterations: int
-    solver: SolverName
+    solver: SolverName | None
     valid: bool
     gap_tol: float
 
@@ -58,20 +57,20 @@ class CenterCertificate:
             "weights": np.asarray(self.weights).tolist(),
             "membership_gap": self.membership_gap,
             "iterations": self.iterations,
-            "solver": self.solver.value,
+            "solver": None if self.solver is None else self.solver.value,
             "valid": self.valid,
             "gap_tol": self.gap_tol,
         }
 
 
-def certify(F, C, z, gap_tol=1e-8, solver=SolverName.CLOSED_FORM, iterations=0,
-            tol=DEFAULT):
+def certify(F, C, z, gap_tol=1e-8, solver=None, iterations=0, tol=DEFAULT):
     """Build the optimality certificate for a candidate center z in U.
 
     Fits simplex weights mu minimizing ||grad f(z) - sum mu_i grad f(q_i)||
     over the farthest points q_i of z.  The certificate is valid when the
     gap is within ``gap_tol`` and the farthest set is multivalued whenever C
-    has at least two points.
+    has at least two points.  ``solver`` and ``iterations`` label the
+    solve that produced z, if any.
     """
     z = np.asarray(z, dtype=float)
     if not F.in_interior(z):

@@ -82,12 +82,17 @@ def dual_argmin(F, W, c):
 
     Wolfe's minimum-norm-point scheme with f* in place of the squared norm:
     from the first vertex, Newton steps on the face of the working set S,
-    with a ratio test that drops a vertex at zero weight, halve until the
-    slope along the step is not positive beyond rounding.  Where the face's
-    rows are affinely dependent, a null combination of them leaves s =
-    W_S^T mu in place and moves the objective linearly; if that slope beats
-    its rounding, a reduction step goes along it to the ratio-test
-    boundary and drops a vertex.  Once the face is solved, the outside
+    with a ratio test that drops a vertex at zero weight.  A trial step is
+    taken once the slope along it is not positive beyond rounding, so by
+    convexity no step raises the objective: first the full step, then the
+    root of the slope's chord from the start (at least half the step), then
+    halving; where f* is not quadratic the full step overshoots the line
+    minimum by a second-order amount, and the chord root keeps the Newton
+    step's quadratic convergence.  Where the face's rows are affinely
+    dependent, a null combination of them leaves s = W_S^T mu in place and
+    moves the objective linearly; if that slope beats its rounding, a
+    reduction step goes along it to the ratio-test boundary and drops a
+    vertex.  Once the face is solved, the outside
     vertex with the lowest gradient entry <W_j, grad f*(s)> - c_j joins if
     it may lie below one in S; if the step on the enlarged face gains
     nothing above rounding, it is set aside until the next step with every
@@ -172,8 +177,9 @@ def _dual_argmin(F, W, c, max_steps=None):
             # d.c does not change; the row that closed this one joined last,
             # has entry 1 in y_null, and its weight can only grow
             d, ratio, moved, d_abs, rounding = _direction(y_null, mu, A, x_err, ownS)
-            if -r.dot(y_null) > rounding and min(ratio) > 0.0:
-                y, reduction = y_null, True
+            slope_null = -r.dot(y_null)
+            if slope_null > rounding and min(ratio) > 0.0:
+                y, slope, reduction = y_null, slope_null, True
                 break
         if not reduction:
             d, ratio, moved, d_abs, rounding = _direction(y, mu, A, x_err, ownS)
@@ -194,7 +200,7 @@ def _dual_argmin(F, W, c, max_steps=None):
         t_max = min(ratio)
         # the objective is linear along a reduction step: go to the boundary
         t = t_max if reduction else min(1.0, t_max)
-        for _ in range(60):
+        for trial in range(60):
             mu_t = [max(w + t * v, 0.0) for w, v in zip(mu, d)]
             if t == t_max:
                 mu_t[ratio.index(t_max)] = 0.0
@@ -203,9 +209,13 @@ def _dual_argmin(F, W, c, max_steps=None):
             s_t = np.dot(mu_t, WS)
             g_t, own_t, x_err_t = evaluate(s_t, np.dot(mu_t, WS_abs), H)
             gS, ownS = g_t.take(S), own_t.take(S)
-            if (gS[1:] - gS[0]).dot(y) <= moved.dot(x_err_t) + d_abs.dot(ownS):
+            slope_t = (gS[1:] - gS[0]).dot(y)
+            if slope_t <= moved.dot(x_err_t) + d_abs.dot(ownS):
                 break
-            t *= 0.5
+            # the slope rose from -slope at t = 0: its chord's root is where
+            # a Newton step's second-order overshoot on a convex slope lands,
+            # at or just short of the line minimum; later trials halve
+            t = max(t * slope / (slope + slope_t), 0.5 * t) if trial == 0 else 0.5 * t
         mu, s, H, g, own, x_err = mu_t, s_t, None, g_t, own_t, x_err_t
         if min(mu) == 0.0:
             keep = [k for k, w in enumerate(mu) if w > 0.0]

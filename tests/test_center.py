@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +341,10 @@ def test_certificate_json():
         "iterations", "solver", "valid", "gap_tol",
     }
     assert obj["solver"] == "subgradient"
+    # a bare certificate names no solver
+    bare = bc.certify(F, C, cert.center)
+    assert bare.solver is None and bare.iterations == 0
+    assert json.loads(json.dumps(bare.to_json()))["solver"] is None
 
 
 def test_dual_hull_projection_euclidean_case():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bregcheb as bc
-from bregcheb.simplex import dual_argmin, lsq_simplex_weights
+from bregcheb.simplex import _ROUND, _dual_argmin, dual_argmin, lsq_simplex_weights
 
 from helpers import (LAYOUTS, center_duality_gap, domain_box, layout_points,
                      random_generator, reference_dual_hull_argmin,
@@ -35,6 +35,35 @@ def test_dependent_rows_take_a_reduction_step():
     assert F.fstar(W.T @ mu) - c @ mu <= -5e-4
     # the optimum mu = (0, a, 1 - a) has 2 (2a - 1) = 1e-3
     assert np.abs(mu - [0.0, 0.50025, 0.49975]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["negentropy", "neglog"])
+def test_face_steps_converge_quadratically(kind):
+    # projections onto the hull of two points: the full Newton step
+    # overshoots the line minimum by a second-order amount, and halving
+    # from there converged at ratio 1/2, up to 26 (negentropy) and 28
+    # (neglog) steps on these draws
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        J = int(rng.integers(2, 6))
+        F = bc.LegendreFunction(kind, J)
+        G = F.grad(rng.uniform(0.5, 3.0, size=(2, J)))
+        x = rng.uniform(0.5, 3.0, size=J)
+        _, steps, done = _dual_argmin(F, G, G @ x)
+        assert done and steps <= 10, steps
+
+
+def test_clustered_center_takes_few_steps():
+    # six clustered points in three dimensions, like a benchmark set: the
+    # center took 41 working-set steps when face steps converged linearly
+    P = np.array([[1.1219661137008343, 1.2815826651599418, 0.7960133265641209],
+                  [1.1443612728975419, 1.364559472702504, 0.9120529287871949],
+                  [1.1375489275732382, 1.4131222124590745, 0.8312594148177772],
+                  [1.1875311056368227, 1.2959450757535398, 0.6949184006505986],
+                  [1.1170063434696116, 1.2864098001566102, 0.913603046371589],
+                  [1.0709624734463725, 1.386325615075049, 0.8679192164179862]])
+    cert = bc.solve_subgradient(bc.negentropy(3), bc.CompactSet.finite(P))
+    assert cert.valid and cert.iterations <= 15, cert.iterations
 
 
 # center duals <mu, K> - f*(G^T mu) of five sets of ``test_criterion_9``
@@ -225,6 +254,35 @@ def _on_simplex(mu):
 @given(hull_problems())
 def test_solver_matches_support_enumeration(problem):
     _check_problem(*problem)
+
+
+def _objective_never_rises(F, P, x):
+    # the projection (c = G x) and the center (c = K) duals, as ``center``
+    # poses them; every iterate within k steps is the k-th of the full solve
+    E, W, lift, _ = bc.CompactSet.finite(P).dual_problem(F)
+    G, K = W.dual_data(E)
+    for c in (G @ lift(x), K):
+        _, steps, _ = _dual_argmin(E, G, c)
+        last = None
+        for k in range(steps + 1):
+            mu, _, _ = _dual_argmin(E, G, c, max_steps=k)
+            fs, cm = E.fstar(G.T @ mu), c @ mu
+            obj, scale = fs - cm, abs(fs) + abs(cm) + mu @ np.abs(c)
+            if last is not None:
+                assert obj - last[0] <= _ROUND * max(scale, last[1]), k
+            last = obj, scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hull_problems())
+def test_no_step_raises_the_objective(problem):
+    _objective_never_rises(*problem)
+
+
+@pytest.mark.parametrize("kind, points, x", NEAR_BOUNDARY_CASES)
+def test_no_step_raises_the_objective_near_the_boundary(kind, points, x):
+    P = np.array(points)
+    _objective_never_rises(bc.LegendreFunction(kind, P.shape[1]), P, np.array(x))
 
 
 def _check_problem(F, P, x):
